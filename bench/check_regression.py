@@ -18,6 +18,10 @@ CI machines differ from the machine the baseline was recorded on, so this
 gate is deliberately coarse (default 25%): it catches the "accidentally
 made a hot primitive 2x slower" class of regression, not single-digit
 drift. Tighten the threshold only for same-machine comparisons.
+
+Baseline benchmarks absent from the current run are listed as "(gone)" so
+a deleted or renamed benchmark shows in the log instead of silently
+leaving the gate; they are reported only, never gated.
 """
 
 import argparse
@@ -100,6 +104,8 @@ def main():
             regressions.append((name, delta_pct))
         elif delta_pct < 0:
             improvements.append((name, baseline[name] / current[name]))
+    for name in sorted(set(baseline) - set(current)):
+        print(f"{name:<44} {baseline[name]:>12.1f} {'(gone)':>12} {'':>8}")
 
     # Improvements are reported (never gated): a speedup PR's CI log is
     # its own before/after record.

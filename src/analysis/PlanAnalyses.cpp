@@ -185,17 +185,6 @@ int64_t analysis::inputRegionWords(const PlanView &Plan) {
   return std::max<int64_t>(Words, 0);
 }
 
-int64_t analysis::outputRegionWords(const PlanView &Plan) {
-  if (Plan.dmaConfigs().empty())
-    return 0;
-  int64_t Words = -1;
-  for (const accel::DmaInitConfig &C : Plan.dmaConfigs()) {
-    int64_t W = C.OutputBufferSize / 4;
-    Words = Words < 0 ? W : std::min(Words, W);
-  }
-  return std::max<int64_t>(Words, 0);
-}
-
 int64_t analysis::staticElementCount(const PlanView &Plan, const Inst &I) {
   int64_t Count = 1;
   if (I.Code == Op::SubView) {

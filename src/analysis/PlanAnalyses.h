@@ -13,8 +13,9 @@
 /// shared math is caught by both the differential fuzzers and the
 /// mutation tests.
 ///
-/// All arithmetic mirrors ExecPlan::runSpan exactly (Binary computes in
-/// double and truncates back to int64, like the tree walker).
+/// All arithmetic mirrors the threaded engine's (DecodedPlan) exactly
+/// (Binary computes in double and truncates back to int64, like the tree
+/// walker).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,13 +66,13 @@ struct SlotFacts {
 
 /// Evaluates \p I's result under \p Facts; true when it is a compile-time
 /// constant. Covers constants, index_cast, integer Binary (double
-/// arithmetic, runSpan-identical) and the staging end-offset results of
+/// arithmetic, as executed) and the staging end-offset results of
 /// copy_to_dma / copy_literal_to_dma.
 bool evalConstDst(const PlanView::Inst &I, const SlotFacts &Facts,
                   int64_t &Out);
 
 /// Constant trip count of a LoopBegin instruction, or -1 when any bound
-/// is unknown or the step is non-positive (runSpan rejects those at
+/// is unknown or the step is non-positive (the executors reject those at
 /// execution time).
 int64_t constTripCount(const PlanView::Inst &LoopBegin,
                        const SlotFacts &Facts);
@@ -89,9 +90,6 @@ bool sendRange(const PlanView::Inst &I, const SlotFacts &Facts,
 /// Input staging capacity in words: the minimum input buffer across the
 /// plan's dma_init configs (0 when the plan has none).
 int64_t inputRegionWords(const PlanView &Plan);
-
-/// Output staging capacity in words (minimum across configs, 0 if none).
-int64_t outputRegionWords(const PlanView &Plan);
 
 /// Static element count of an Alloc/SubView result, or -1 for any other
 /// instruction.

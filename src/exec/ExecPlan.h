@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A compile-once/execute-many lowering of one func.func into a flat vector
-/// of pre-resolved instructions, replacing the tree-walking interpreter's
+/// A compile-once lowering of one func.func into a flat vector of
+/// pre-resolved instructions, replacing the tree-walking interpreter's
 /// per-op string dispatch, std::map value environments and per-element
 /// index-vector allocations:
 ///
@@ -23,12 +23,15 @@
 ///     permutations) or affine-expression evaluations (no vectors
 ///     allocated per point) and the payload pre-compiled.
 ///
-/// The modeled perf counters (HostPerfModel) charged during execution are
-/// bit-identical to the legacy walker's: the same events fire in the same
-/// order with the same addresses. ExecPlanTest asserts this across all
-/// three abstraction levels. A plan owns copies of everything it needs
-/// (shapes, configs, affine maps), so it stays valid after the IR is
-/// mutated or destroyed.
+/// An ExecPlan is not executed directly: it is the program the optimizer
+/// (src/exec/opt) rewrites, the verifier (src/analysis) proves safe, print()
+/// disassembles, and DecodedPlan::decode (ExecPlanRun.h) turns into the
+/// dispatch-ready form that runs. The modeled perf counters (HostPerfModel)
+/// charged by a decoded plan are bit-identical to the walker's: the same
+/// events fire in the same order with the same addresses. ExecPlanTest
+/// asserts this across all three abstraction levels. A plan owns copies of
+/// everything it needs (shapes, configs, affine maps), so it stays valid
+/// after the IR is mutated or destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +42,6 @@
 #include "ir/AccelTraits.h"
 #include "ir/AffineExpr.h"
 #include "runtime/DmaRuntime.h"
-#include "support/LogicalResult.h"
 
 #include <iosfwd>
 #include <memory>
@@ -74,13 +76,6 @@ public:
   static std::unique_ptr<ExecPlan> compile(func::FuncOp Func,
                                            std::string &Error,
                                            bool FuseTransferPairs = true);
-
-  /// Executes the plan against \p Soc, binding \p Arguments to the
-  /// function's memref parameters. \p Runtime may be null for CPU-only
-  /// functions. Reusable: call once per input set.
-  LogicalResult run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                    const std::vector<runtime::MemRefDesc> &Arguments,
-                    std::string &Error) const;
 
   size_t numInstructions() const { return Program.size(); }
   unsigned numSlots() const { return NumSlots; }
@@ -202,12 +197,8 @@ private:
     std::vector<int32_t> YieldSlots;
   };
 
-  struct ExecState;
-
   static void fuseTransferPairs(std::vector<Inst> &Program,
                                 unsigned &FusedSends, unsigned &FusedRecvs);
-  LogicalResult runSpan(const std::vector<Inst> &Code, ExecState &S) const;
-  LogicalResult runGeneric(const GenericPlan &G, ExecState &S) const;
 
   std::string FuncName;
   unsigned NumArgs = 0;

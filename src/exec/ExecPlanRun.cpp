@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Decode stage + token-threaded dispatch loop + specialized odometer
-// micro-kernels. The contract with ExecPlan::run is exact: identical
-// buffers, identical diagnostics, and an identical sequence of
-// HostPerfModel charges (same events, same order, same addresses), so
-// every modeled counter is bit-identical. PlanEquivalenceFuzzTest pins
-// this differentially for every fuzz case.
+// micro-kernels. The contract with the IR walker (exec/Interpreter.cpp)
+// is exact: identical buffers, identical diagnostics, and an identical
+// sequence of HostPerfModel charges (same events, same order, same
+// addresses), so every modeled counter is bit-identical. Within this file
+// the generic odometer is the reference every specialized micro-kernel
+// matches. PlanEquivalenceFuzzTest pins this differentially for every
+// fuzz case.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,36 +50,21 @@ LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
     Mode = ExecMode::Walker;
     return success();
   }
-  if (Text == "plan") {
-    Mode = ExecMode::Plan;
-    return success();
-  }
   if (Text == "threaded") {
     Mode = ExecMode::Threaded;
     return success();
   }
-  Error = "unknown exec mode '" + Text + "' (expected walker|plan|threaded)";
+  Error = "unknown exec mode '" + Text + "' (expected walker|threaded)";
   return failure();
-}
-
-const char *toString(ExecMode Mode) {
-  switch (Mode) {
-  case ExecMode::Walker:
-    return "walker";
-  case ExecMode::Plan:
-    return "plan";
-  case ExecMode::Threaded:
-    return "threaded";
-  }
-  return "?";
 }
 
 } // namespace exec
 } // namespace axi4mlir
 
 //===----------------------------------------------------------------------===//
-// Word <-> dynamic value conversions (same trick as ExecPlan.cpp: templated
-// so this file can name ExecPlan's private Cell type through deduction).
+// Word <-> dynamic value conversions, matching the walker's load/store
+// conversions exactly (templated so this file can name ExecPlan's private
+// Cell type through deduction).
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -603,7 +590,7 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
     const Cell &RHS = Cells[Ip->B];
     Perf.onArith(1);
     // The LHS tag selects the interpretation of both operands, exactly
-    // as in the walker and the plan interpreter.
+    // as in the walker.
     bool IsFloat = LHS.Tag == Cell::Kind::Float;
     double A = IsFloat ? LHS.F : static_cast<double>(LHS.I);
     double B = IsFloat ? RHS.F : static_cast<double>(RHS.I);
@@ -1001,8 +988,10 @@ LogicalResult DecodedProgram::exec(const DInst *Base, RunState &S) const {
 #undef RT_STATUS_CHECK
 
 //===----------------------------------------------------------------------===//
-// Generic odometer fallback (mirrors ExecPlan::runGeneric instruction for
-// instruction; the body span runs through the threaded dispatcher)
+// Generic odometer fallback (the reference semantics for linalg.generic:
+// per point one loop iteration, three index-arithmetic ops, a scalar load
+// per operand, the payload through the threaded dispatcher, then a scalar
+// store per yielded value — the walker's executeLinalgGeneric charges)
 //===----------------------------------------------------------------------===//
 
 LogicalResult DecodedProgram::runOdometer(const DecodedGeneric &DG,
@@ -1217,8 +1206,8 @@ void DecodedProgram::mulAddKernel(const DecodedGeneric &DG,
         OutWord = sim::floatToWord(static_cast<float>(Y));
       } else {
         // i32 path: the product is truncated through int64 (and the sum
-        // computed on doubles of those), exactly as the interpreter's
-        // Cell arithmetic does.
+        // computed on doubles of those), exactly as the odometer's Cell
+        // arithmetic does.
         int64_t T = static_cast<int64_t>(V[MA] * V[MB]);
         double A = TL ? static_cast<double>(T) : V[AO];
         double B = TL ? V[AO] : static_cast<double>(T);
@@ -1584,14 +1573,6 @@ std::string DecodedPlan::printToString() const {
 
 unsigned DecodedPlan::numSpecializedKernels() const {
   return Impl->NumSpecialized;
-}
-
-bool DecodedPlan::usesComputedGoto() {
-#if AXI4MLIR_SWITCH_DISPATCH
-  return false;
-#else
-  return true;
-#endif
 }
 
 } // namespace exec

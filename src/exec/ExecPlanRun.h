@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The second execution engine for compiled ExecPlans: a pre-decode stage
+/// The execution engine for compiled ExecPlans: a pre-decode stage
 /// rewrites the plan's instruction vector once per plan-cache entry into a
 /// dispatch-ready program (dense jump-table opcodes, side-table indices and
 /// slot-pool offsets resolved to raw pointers, specialized micro-kernels
@@ -21,9 +21,10 @@
 ///   * single elementwise binary epilogues,
 ///   * staging copies (empty body yielding the input element).
 /// Everything else falls back to the generic odometer. All kernels charge
-/// HostPerfModel with exactly the events, order and addresses of
-/// ExecPlan::run, so every modeled counter stays bit-identical —
-/// PlanEquivalenceFuzzTest pins this differentially.
+/// HostPerfModel with exactly the events, order and addresses of the
+/// generic odometer and of the IR walker (exec/Interpreter.h), so every
+/// modeled counter stays bit-identical — PlanEquivalenceFuzzTest pins this
+/// differentially.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,15 +42,13 @@
 namespace axi4mlir {
 namespace exec {
 
-/// Which executor runs a function: the legacy tree walker, the PR-3 plan
-/// interpreter (one switch per instruction), or the pre-decoded
-/// threaded-dispatch engine (the default).
-enum class ExecMode { Walker, Plan, Threaded };
+/// Which executor runs a function: the IR tree walker (the reference) or
+/// the pre-decoded threaded-dispatch engine (the default).
+enum class ExecMode { Walker, Threaded };
 
-/// Parses "walker" | "plan" | "threaded"; sets \p Error otherwise.
+/// Parses "walker" | "threaded"; sets \p Error otherwise.
 LogicalResult parseExecMode(const std::string &Text, ExecMode &Mode,
                             std::string &Error);
-const char *toString(ExecMode Mode);
 
 /// A plan pre-decoded into dispatch-ready form. Owns copies of everything
 /// it needs (like ExecPlan itself), so it stays valid after the source
@@ -61,8 +60,10 @@ public:
   static std::unique_ptr<DecodedPlan> decode(const ExecPlan &Plan);
   ~DecodedPlan();
 
-  /// Executes via the threaded dispatch loop. Same contract (arguments,
-  /// diagnostics, perf charges) as ExecPlan::run.
+  /// Executes via the threaded dispatch loop, binding \p Arguments to the
+  /// function's memref parameters. \p Runtime may be null for CPU-only
+  /// functions. Same contract (arguments, diagnostics, perf charges) as
+  /// the IR walker. Reusable: call once per input set.
   LogicalResult run(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error) const;
@@ -74,10 +75,6 @@ public:
 
   /// linalg.generic sites bound to a specialized micro-kernel.
   unsigned numSpecializedKernels() const;
-
-  /// True when this build dispatches via computed goto (GCC/Clang and
-  /// not AXI4MLIR_FORCE_SWITCH_DISPATCH).
-  static bool usesComputedGoto();
 
 private:
   DecodedPlan();

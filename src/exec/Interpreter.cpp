@@ -25,11 +25,6 @@ Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
                          ExecMode Mode)
     : Soc(Soc), Runtime(Runtime), Mode(Mode) {}
 
-Interpreter::Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-                         bool UseCompiledPlan)
-    : Interpreter(Soc, Runtime,
-                  UseCompiledPlan ? ExecMode::Plan : ExecMode::Walker) {}
-
 Interpreter::~Interpreter() = default;
 
 void Interpreter::setPlanOptions(const opt::PlanOptOptions &Options) {
@@ -59,22 +54,22 @@ LogicalResult Interpreter::run(func::FuncOp Func,
     Error = "argument count mismatch calling '" + Func.getFuncName() + "'";
     return failure();
   }
-  if (Mode != ExecMode::Walker) {
-    // Compile once, execute many: plans are reused while run() keeps
-    // being called with the same, unmodified functions. The fingerprint
-    // (address + name + structural argument types + top-level op count)
-    // catches the realistic staleness cases — a recycled heap address,
-    // different workload shapes, or a pass rewriting the function in
-    // place — but a caller that mutates the body without changing any
-    // of those must use a fresh Interpreter (or compile an ExecPlan
-    // directly). The cache is a bounded LRU so a driver alternating over
-    // many functions neither thrashes on two of them (the old
-    // single-entry behaviour) nor grows without limit.
+  if (Mode == ExecMode::Threaded) {
+    // Compile once, execute many: decoded plans are reused while run()
+    // keeps being called with the same, unmodified functions. The
+    // fingerprint (name + address + structural argument types + top-level
+    // op count) catches the realistic staleness cases — a recycled heap
+    // address, different workload shapes, or a pass rewriting the
+    // function in place — but a caller that mutates the body without
+    // changing any of those must use a fresh Interpreter (or compile and
+    // decode a plan directly). The cache is a bounded LRU so a driver
+    // alternating over many functions neither thrashes on two of them
+    // nor grows without limit.
     size_t TopLevelOps = Entry.getOperations().size();
     auto matches = [&](const PlanCacheEntry &Cached) {
       if (Cached.For != Func.getOperation() ||
           Cached.TopLevelOps != TopLevelOps ||
-          Cached.Plan->funcName() != Func.getFuncName() ||
+          Cached.FuncName != Func.getFuncName() ||
           Cached.ArgTypes.size() != Entry.getNumArguments())
         return false;
       for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
@@ -95,11 +90,11 @@ LogicalResult Interpreter::run(func::FuncOp Func,
       OptStats = PlanCache.front().Stats;
     } else {
       Soc.perf().onPlanCacheMiss();
-      PlanCacheEntry Fresh;
-      Fresh.Plan = ExecPlan::compile(Func, Error);
-      if (!Fresh.Plan)
+      std::unique_ptr<ExecPlan> Plan = ExecPlan::compile(Func, Error);
+      if (!Plan)
         return failure();
-      Fresh.Stats = opt::optimizePlan(*Fresh.Plan, PlanOptions);
+      PlanCacheEntry Fresh;
+      Fresh.Stats = opt::optimizePlan(*Plan, PlanOptions);
       if (!Fresh.Stats.VerifyError.empty()) {
         // Verify-each caught a miscompile between passes: refuse to cache
         // or run the rejected plan.
@@ -109,6 +104,10 @@ LogicalResult Interpreter::run(func::FuncOp Func,
         return failure();
       }
       OptStats = Fresh.Stats;
+      // Decode after the optimizer has run; the decoded program owns
+      // copies of everything it needs, so the ExecPlan is dropped here.
+      Fresh.Decoded = DecodedPlan::decode(*Plan);
+      Fresh.FuncName = Func.getFuncName();
       Fresh.For = Func.getOperation();
       Fresh.TopLevelOps = TopLevelOps;
       for (unsigned I = 0; I < Entry.getNumArguments(); ++I)
@@ -119,15 +118,7 @@ LogicalResult Interpreter::run(func::FuncOp Func,
         Soc.perf().onPlanCacheEviction();
       }
     }
-    PlanCacheEntry &Active = PlanCache.front();
-    if (Mode == ExecMode::Threaded) {
-      // Decode lazily (after the optimizer has run) so a mode switch on a
-      // warm plan cache still picks up the threaded engine.
-      if (!Active.Decoded)
-        Active.Decoded = DecodedPlan::decode(*Active.Plan);
-      return Active.Decoded->run(Soc, Runtime, Arguments, Error);
-    }
-    return Active.Plan->run(Soc, Runtime, Arguments, Error);
+    return PlanCache.front().Decoded->run(Soc, Runtime, Arguments, Error);
   }
   for (unsigned I = 0; I < Arguments.size(); ++I)
     Env[Entry.getArgument(I).getImpl()] =

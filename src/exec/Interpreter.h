@@ -36,39 +36,26 @@
 namespace axi4mlir {
 namespace exec {
 
-class ExecPlan;
-
 /// Interprets one func.func against a simulated system. By default the
-/// function is compiled once into an ExecPlan (cached across run() calls
-/// on the same function), pre-decoded into dispatch-ready form, and
-/// executed through the threaded-dispatch engine. The plan interpreter
-/// (one switch per instruction) and the legacy tree walker stay
-/// selectable through ExecMode for the equivalence tests and ablations;
-/// all three produce identical buffers and perf counters.
+/// function is compiled once into an ExecPlan, optimized, verified and
+/// pre-decoded into a DecodedPlan (cached across run() calls on the same
+/// function), and executed through the threaded-dispatch engine. The IR
+/// tree walker stays selectable through ExecMode as the reference for the
+/// equivalence tests and ablations; both produce identical buffers and
+/// perf counters.
 class Interpreter {
 public:
   /// \p Runtime may be null for CPU-only functions (no accel/axirt ops).
   Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
               ExecMode Mode = ExecMode::Threaded);
-  /// Legacy selector kept for the walker-vs-plan call sites: true is the
-  /// plan interpreter, false the tree walker.
-  Interpreter(sim::SoC &Soc, runtime::DmaRuntime *Runtime,
-              bool UseCompiledPlan);
   ~Interpreter();
 
-  void setExecMode(ExecMode Mode) { this->Mode = Mode; }
   ExecMode execMode() const { return Mode; }
 
-  /// Legacy selector: compiled execution (the plan interpreter) vs the
-  /// tree walker. Both produce identical output buffers and counters.
-  void setUseCompiledPlan(bool Enabled) {
-    Mode = Enabled ? ExecMode::Plan : ExecMode::Walker;
-  }
-  bool usesCompiledPlan() const { return Mode != ExecMode::Walker; }
-
   /// Enables plan-optimizer passes (src/exec/opt) for subsequent runs.
-  /// Off by default to preserve the bit-identical plan-vs-walker counter
-  /// guarantee. Invalidates the plan cache.
+  /// Off by default so the threaded engine charges exactly the walker's
+  /// counters (passes like dce/licm may remove or hoist charged work).
+  /// Invalidates the plan cache.
   void setPlanOptions(const opt::PlanOptOptions &Options);
   const opt::PlanOptOptions &planOptions() const { return PlanOptions; }
   /// What the optimizer did to the most recently compiled plan.
@@ -81,19 +68,20 @@ public:
   size_t planCacheCapacity() const { return PlanCacheCapacity; }
   size_t planCacheSize() const { return PlanCache.size(); }
 
-  /// Runs \p Func with memref arguments bound to \p Arguments. Compiled
+  /// Runs \p Func with memref arguments bound to \p Arguments. Decoded
   /// plans are held in a per-Interpreter LRU cache keyed by function
   /// identity, so alternating across several functions skips
-  /// recompilation (and re-decoding in threaded mode) until the capacity
-  /// bound evicts them. Hits/misses/evictions are charged to the SoC's
-  /// HostPerfModel plan-cache counters (counters only, no cycles).
+  /// recompilation and re-decoding until the capacity bound evicts them.
+  /// Hits/misses/evictions are charged to the SoC's HostPerfModel
+  /// plan-cache counters (counters only, no cycles).
   LogicalResult run(func::FuncOp Func,
                     const std::vector<runtime::MemRefDesc> &Arguments,
                     std::string &Error);
 
   /// The pre-decoded program of the most recently used cache entry, or
-  /// null until a threaded-mode run() has populated it. For introspection
-  /// (disassembly goldens, kernel-specialization counts).
+  /// null until a threaded-mode run() has populated it (a walker
+  /// Interpreter never has one). For introspection (disassembly goldens,
+  /// kernel-specialization counts).
   const DecodedPlan *decodedPlan() const;
 
 private:
@@ -146,15 +134,14 @@ private:
   ExecMode Mode;
   opt::PlanOptOptions PlanOptions;
   opt::PlanOptStats OptStats;
-  /// One compiled function in the LRU plan cache. The fingerprint (op
-  /// address, name, structural argument types, top-level op count)
+  /// One decoded function in the LRU plan cache. The fingerprint (name,
+  /// op address, structural argument types, top-level op count)
   /// invalidates on the realistic staleness cases; callers mutating a
   /// function body in place without changing any of those must use a
   /// fresh Interpreter.
   struct PlanCacheEntry {
-    std::unique_ptr<ExecPlan> Plan;
-    /// Dispatch-ready form; populated lazily in threaded mode.
     std::unique_ptr<DecodedPlan> Decoded;
+    std::string FuncName;
     Operation *For = nullptr;
     size_t TopLevelOps = 0;
     std::vector<Type> ArgTypes;

@@ -66,28 +66,6 @@ LogicalResult opt::parsePlanOptSpec(const std::string &Spec,
   return success();
 }
 
-std::string opt::toString(const PlanOptOptions &Options) {
-  if (!Options.any())
-    return "none";
-  if (Options.Fold && Options.Dce && Options.Licm && Options.Coalesce)
-    return "all";
-  std::string Out;
-  auto append = [&](const char *Name) {
-    if (!Out.empty())
-      Out += ',';
-    Out += Name;
-  };
-  if (Options.Fold)
-    append("fold");
-  if (Options.Dce)
-    append("dce");
-  if (Options.Licm)
-    append("licm");
-  if (Options.Coalesce)
-    append("coalesce");
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // PlanOptimizer
 //===----------------------------------------------------------------------===//
@@ -304,8 +282,8 @@ private:
   using Analysis = analysis::SlotFacts;
 
   /// Evaluates the instruction's result given current constant facts;
-  /// mirrors runSpan's arithmetic exactly (Binary computes in double and
-  /// truncates back, like the walker). Delegates to the shared analysis.
+  /// mirrors the executors' arithmetic exactly (Binary computes in double
+  /// and truncates back, like the walker). Delegates to the shared analysis.
   bool evalConst(const Inst &I, const Analysis &A, int64_t &Out) const {
     return analysis::evalConstDst(I, A, Out);
   }

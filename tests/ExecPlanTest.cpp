@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Proves the compile-once/execute-many ExecPlan is indistinguishable from
-/// the legacy tree-walking interpreter on all three abstraction levels
-/// (linalg.generic, accel ops, axirt runtime calls): identical output
-/// buffers AND bit-identical HostPerfModel counters. The plan is the
-/// measurement engine for every figure bench, so this equivalence is what
-/// licenses using it by default.
+/// Proves the compile-once/execute-many ExecPlan, run through the threaded
+/// engine (DecodedPlan), is indistinguishable from the IR tree walker on
+/// all three abstraction levels (linalg.generic, accel ops, axirt runtime
+/// calls): identical output buffers AND bit-identical HostPerfModel
+/// counters. The threaded engine is the measurement engine for every
+/// figure bench, so this equivalence is what licenses using it by default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,23 +113,23 @@ void checkMatMulEquivalence(Level L, int64_t M, int64_t N, int64_t K,
   MemRefDesc B = MemRefDesc::alloc({K, N}, Kind);
   MemRefDesc C = MemRefDesc::alloc({M, N}, Kind);
 
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
+  auto runOnce = [&](ExecMode Mode) -> sim::PerfReport {
     fillRandom(A, 21);
     fillRandom(B, 22);
     fillRandom(C, 23);
     Soc->resetCounters();
-    Interpreter Interp(*Soc, Runtime.get(), UseCompiledPlan);
+    Interpreter Interp(*Soc, Runtime.get(), Mode);
     std::string Error;
     EXPECT_TRUE(succeeded(Interp.run(Func, {A, B, C}, Error))) << Error;
     return Soc->report();
   };
 
-  runOnce(/*UseCompiledPlan=*/false); // allocator warm-up
-  sim::PerfReport Walker = runOnce(/*UseCompiledPlan=*/false);
+  runOnce(ExecMode::Walker); // allocator warm-up
+  sim::PerfReport Walker = runOnce(ExecMode::Walker);
   MemRefDesc WalkerC = cloneMemRef(C);
-  sim::PerfReport Plan = runOnce(/*UseCompiledPlan=*/true);
+  sim::PerfReport Threaded = runOnce(ExecMode::Threaded);
   EXPECT_TRUE(memrefEquals(WalkerC, C));
-  expectIdenticalReports(Walker, Plan);
+  expectIdenticalReports(Walker, Threaded);
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,20 +176,20 @@ TEST(ExecPlan, GenericConvEquivalence) {
   MemRefDesc I = MemRefDesc::alloc({1, 3, 9, 9});
   MemRefDesc W = MemRefDesc::alloc({2, 3, 3, 3});
   MemRefDesc O = MemRefDesc::alloc({1, 2, 4, 4});
-  auto runOnce = [&](bool UseCompiledPlan) -> sim::PerfReport {
+  auto runOnce = [&](ExecMode Mode) -> sim::PerfReport {
     fillRandom(I, 31);
     fillRandom(W, 32);
     fillRandom(O, 33);
     Soc->resetCounters();
-    Interpreter Interp(*Soc, nullptr, UseCompiledPlan);
+    Interpreter Interp(*Soc, nullptr, Mode);
     EXPECT_TRUE(succeeded(Interp.run(Func, {I, W, O}, Error))) << Error;
     return Soc->report();
   };
-  sim::PerfReport Walker = runOnce(false);
+  sim::PerfReport Walker = runOnce(ExecMode::Walker);
   MemRefDesc WalkerO = cloneMemRef(O);
-  sim::PerfReport Plan = runOnce(true);
+  sim::PerfReport Threaded = runOnce(ExecMode::Threaded);
   EXPECT_TRUE(memrefEquals(WalkerO, O));
-  expectIdenticalReports(Walker, Plan);
+  expectIdenticalReports(Walker, Threaded);
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,6 +221,7 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
   ASSERT_TRUE(succeeded(transforms::convertNamedToGeneric(Func, Error)));
   auto Plan = ExecPlan::compile(Func, Error);
   ASSERT_NE(Plan, nullptr) << Error;
+  auto Decoded = DecodedPlan::decode(*Plan);
 
   // Two executions of one plan on fresh systems: independent, identical.
   sim::PerfReport Reports[2];
@@ -234,7 +235,7 @@ TEST(ExecPlan, ReusedAcrossRunsWithIdenticalCounters) {
     fillRandom(C, 3);
     MemRefDesc Expected = cloneMemRef(C);
     referenceMatMul(A, B, Expected);
-    ASSERT_TRUE(succeeded(Plan->run(*Soc, nullptr, {A, B, C}, Error)))
+    ASSERT_TRUE(succeeded(Decoded->run(*Soc, nullptr, {A, B, C}, Error)))
         << Error;
     EXPECT_TRUE(memrefEquals(Expected, C));
     Reports[Run] = Soc->report();
@@ -276,7 +277,9 @@ TEST(ExecPlan, FusesSendWaitPairs) {
   MemRefDesc A = MemRefDesc::alloc({16, 16});
   MemRefDesc B = MemRefDesc::alloc({16, 16});
   MemRefDesc C = MemRefDesc::alloc({16, 16});
-  auto runOnce = [&](const ExecPlan &Plan) -> sim::PerfReport {
+  auto UnfusedDecoded = DecodedPlan::decode(*Unfused);
+  auto FusedDecoded = DecodedPlan::decode(*Fused);
+  auto runOnce = [&](const DecodedPlan &Plan) -> sim::PerfReport {
     fillRandom(A, 41);
     fillRandom(B, 42);
     fillRandom(C, 43);
@@ -286,10 +289,10 @@ TEST(ExecPlan, FusesSendWaitPairs) {
         << RunError;
     return Soc->report();
   };
-  runOnce(*Unfused); // allocator warm-up (see checkMatMulEquivalence)
-  sim::PerfReport UnfusedReport = runOnce(*Unfused);
+  runOnce(*UnfusedDecoded); // allocator warm-up (see checkMatMulEquivalence)
+  sim::PerfReport UnfusedReport = runOnce(*UnfusedDecoded);
   MemRefDesc UnfusedC = cloneMemRef(C);
-  sim::PerfReport FusedReport = runOnce(*Fused);
+  sim::PerfReport FusedReport = runOnce(*FusedDecoded);
   EXPECT_TRUE(memrefEquals(UnfusedC, C));
   expectIdenticalReports(UnfusedReport, FusedReport);
 }
@@ -310,7 +313,7 @@ TEST(ExecPlan, DiagnosticsMatchWalker) {
 
   auto Soc = sim::makeCpuOnlySoC();
   std::string WalkerError;
-  Interpreter Walker(*Soc, nullptr, /*UseCompiledPlan=*/false);
+  Interpreter Walker(*Soc, nullptr, ExecMode::Walker);
   EXPECT_TRUE(failed(Walker.run(Func, {}, WalkerError)));
   EXPECT_EQ(PlanError, WalkerError);
 }
@@ -706,9 +709,10 @@ TEST(DecodedDisassembly, InterpreterExposesDecodedPlan) {
   ASSERT_NE(Interp.decodedPlan(), nullptr);
   EXPECT_EQ(Interp.decodedPlan()->numSpecializedKernels(), 1u);
 
-  Interpreter PlanInterp(*Soc, nullptr, ExecMode::Plan);
-  ASSERT_TRUE(succeeded(PlanInterp.run(Func, Args, Error))) << Error;
-  EXPECT_EQ(PlanInterp.decodedPlan(), nullptr);
+  // A walker Interpreter never compiles, so it never exposes one.
+  Interpreter WalkerInterp(*Soc, nullptr, ExecMode::Walker);
+  ASSERT_TRUE(succeeded(WalkerInterp.run(Func, Args, Error))) << Error;
+  EXPECT_EQ(WalkerInterp.decodedPlan(), nullptr);
 }
 
 } // namespace

@@ -6,13 +6,12 @@
 ///
 /// \file
 /// The equivalence harness pinning src/exec/opt and the threaded engine:
-/// every driver is executed by the legacy walker, the unoptimized plan,
-/// each optimizer pass on its own, and the full pipeline — against the
-/// SAME simulated SoC and the SAME argument buffers (refilled from fixed
-/// seeds, counters reset between runs) — and every configuration runs a
-/// third time through the threaded-dispatch executor, which must match
-/// the plan interpreter's buffers and address-independent counters bit
-/// for bit. Output buffers must be bit-identical in every configuration.
+/// every driver is executed by the IR walker (the reference) and by the
+/// threaded-dispatch engine on the unoptimized plan, each optimizer pass
+/// on its own, and the full pipeline — against the SAME simulated SoC and
+/// the SAME argument buffers (refilled from fixed seeds, counters reset
+/// between runs). Output buffers must be bit-identical in every
+/// configuration.
 /// Counters are held to the pass contracts (PlanOpt.h):
 /// a run whose PlanOptStats report no counter-changing rewrites must
 /// reproduce the walker's HostPerfModel/DMA/cache counters bit for bit;
@@ -127,28 +126,29 @@ void expectImprovedReport(const sim::PerfReport &Walker,
 /// remainders (memref.alloc in the lowered body) exempt those four; the
 /// eight address-independent counters are exact always.
 void expectIdenticalReport(const sim::PerfReport &Walker,
-                           const sim::PerfReport &Plan,
+                           const sim::PerfReport &Threaded,
                            const std::string &Label,
                            bool StableAddresses) {
   SCOPED_TRACE(Label);
-  EXPECT_EQ(Walker.Instructions, Plan.Instructions);
-  EXPECT_EQ(Walker.BranchInstructions, Plan.BranchInstructions);
-  EXPECT_EQ(Walker.Loads, Plan.Loads);
-  EXPECT_EQ(Walker.Stores, Plan.Stores);
-  EXPECT_EQ(Walker.L1DAccesses, Plan.L1DAccesses);
-  EXPECT_EQ(Walker.FabricCycles, Plan.FabricCycles);
-  EXPECT_EQ(Walker.DmaTransfers, Plan.DmaTransfers);
-  EXPECT_EQ(Walker.DmaBytesMoved, Plan.DmaBytesMoved);
+  EXPECT_EQ(Walker.Instructions, Threaded.Instructions);
+  EXPECT_EQ(Walker.BranchInstructions, Threaded.BranchInstructions);
+  EXPECT_EQ(Walker.Loads, Threaded.Loads);
+  EXPECT_EQ(Walker.Stores, Threaded.Stores);
+  EXPECT_EQ(Walker.L1DAccesses, Threaded.L1DAccesses);
+  EXPECT_EQ(Walker.FabricCycles, Threaded.FabricCycles);
+  EXPECT_EQ(Walker.DmaTransfers, Threaded.DmaTransfers);
+  EXPECT_EQ(Walker.DmaBytesMoved, Threaded.DmaBytesMoved);
   if (StableAddresses) {
-    EXPECT_EQ(Walker.CacheReferences, Plan.CacheReferences);
-    EXPECT_EQ(Walker.CacheMisses, Plan.CacheMisses);
-    EXPECT_EQ(Walker.HostCycles, Plan.HostCycles);
-    EXPECT_EQ(Walker.TaskClockMs, Plan.TaskClockMs);
+    EXPECT_EQ(Walker.CacheReferences, Threaded.CacheReferences);
+    EXPECT_EQ(Walker.CacheMisses, Threaded.CacheMisses);
+    EXPECT_EQ(Walker.HostCycles, Threaded.HostCycles);
+    EXPECT_EQ(Walker.TaskClockMs, Threaded.TaskClockMs);
   }
 }
 
-/// Runs one case through walker, plan-none, each single pass, and the
-/// full pipeline, asserting the contracts. Returns false when the
+/// Runs one case through the walker and the threaded engine at
+/// plan-none, each single pass, and the full pipeline, asserting the
+/// contracts. Returns false when the
 /// lowering itself failed (reported via ADD_FAILURE).
 void checkCase(const FuzzCase &Case) {
   SCOPED_TRACE(Case.describe());
@@ -223,10 +223,9 @@ void checkCase(const FuzzCase &Case) {
   // heap itself to be in steady state when a driver allocates staging
   // buffers mid-run (pad remainders): plan compilation, the optimizer and
   // pre-decode churn the allocator, so each spec is measured as its own
-  // (walker warm-up, plan warm-up, threaded warm-up, walker, plan,
-  // threaded) sextuple — the warm-ups compile/decode and settle the
-  // allocator, and the measured runs are then execution-only on the
-  // same heap.
+  // (walker warm-up, threaded warm-up, walker, threaded) quadruple — the
+  // warm-ups compile/decode and settle the allocator, and the measured
+  // runs are then execution-only on the same heap.
   auto runOnce = [&](Interpreter &Interp) -> sim::PerfReport {
     for (size_t I = 0; I < Args.size(); ++I)
       fillRandom(Args[I], static_cast<uint32_t>(91 + I));
@@ -241,7 +240,7 @@ void checkCase(const FuzzCase &Case) {
     opt::PlanOptOptions Options;
   };
   std::vector<PassSpec> Specs;
-  // Unoptimized plan first: the PR-3 bit-identical guarantee.
+  // Unoptimized plan first: bit-identical to the walker.
   Specs.push_back({"none", opt::PlanOptOptions::none()});
   {
     opt::PlanOptOptions O;
@@ -289,34 +288,22 @@ void checkCase(const FuzzCase &Case) {
 
   for (const PassSpec &Spec : Specs) {
     Interpreter WalkerInterp(*Soc, &Runtime, ExecMode::Walker);
-    Interpreter PlanInterp(*Soc, &Runtime, ExecMode::Plan);
     Interpreter ThreadedInterp(*Soc, &Runtime, ExecMode::Threaded);
-    PlanInterp.setPlanOptions(Spec.Options);
     ThreadedInterp.setPlanOptions(Spec.Options);
     runOnce(WalkerInterp);
-    runOnce(PlanInterp);     // compiles + optimizes; plan cached
     runOnce(ThreadedInterp); // compiles + optimizes + pre-decodes
     sim::PerfReport Walker = runOnce(WalkerInterp);
     snapshotBuffers();
-    sim::PerfReport Optimized = runOnce(PlanInterp);
-    checkBuffers(Spec.Name);
-    // Third column: the threaded engine executes the SAME optimized plan
-    // pre-decoded; its buffers and counters must match the plan
-    // interpreter bit for bit on every case, optimized or not.
-    snapshotBuffers();
     sim::PerfReport Threaded = runOnce(ThreadedInterp);
-    checkBuffers(std::string(Spec.Name) + " threaded");
-    expectIdenticalReport(Optimized, Threaded,
-                          std::string(Spec.Name) + " threaded-vs-plan",
-                          StableAddresses);
-    const opt::PlanOptStats &Stats = PlanInterp.planOptStats();
+    checkBuffers(Spec.Name);
+    const opt::PlanOptStats &Stats = ThreadedInterp.planOptStats();
     EXPECT_TRUE(Stats.VerifyError.empty())
         << "after " << Stats.VerifyFailedPass << ": " << Stats.VerifyError;
 
     if (Stats.changedCounters())
-      expectImprovedReport(Walker, Optimized, Stats, Spec.Name);
+      expectImprovedReport(Walker, Threaded, Stats, Spec.Name);
     else
-      expectIdenticalReport(Walker, Optimized, Spec.Name, StableAddresses);
+      expectIdenticalReport(Walker, Threaded, Spec.Name, StableAddresses);
     if (std::string(Spec.Name) == "none") {
       EXPECT_EQ(Stats.total(), 0u);
     }
