@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PlanVerifier.h"
+#include "analysis/ProtocolChecker.h"
 #include "analysis/PlanView.h"
 #include "analysis/ProtocolModel.h"
 #include "dialects/InitAllDialects.h"
@@ -242,6 +243,158 @@ TEST(PlanVerify, NonPositiveLoopStepRejected) {
   ASSERT_GE(StepConst, 0) << "expected a constant loop step";
   Program[StepConst].Imm = 0;
   expectError(analysis::verifyPlan(*Plan), "not positive");
+}
+
+//===----------------------------------------------------------------------===//
+// Config-level protocol diagnostics (one case per diagnostic class)
+//===----------------------------------------------------------------------===//
+
+/// A one-accelerator config: a matmul (dims m, n, k; A, B, C operands)
+/// or, when \p Kernel names a conv, the Fig. 15a conv geometry.
+std::string protocolConfig(const std::string &Name, const std::string &OpMap,
+                           const std::string &Flow,
+                           const std::string &Init = "(reset)",
+                           const std::string &Kernel = "linalg.matmul",
+                           const std::string &AccelSize = "[8, 8, 8]") {
+  bool Conv = Kernel.find("conv") != std::string::npos;
+  return std::string("{ \"accelerators\": [ { \"name\": \"") + Name +
+         "\", \"kernel\": \"" + Kernel + "\", \"data_type\": \"int32\", " +
+         "\"accel_size\": " + AccelSize + ", " +
+         (Conv ? "\"dims\": [b, oc, oh, ow, ic, fh, fw], \"data\": { \"I\": "
+                 "[b, ic, h, w], \"W\": [oc, ic, fh, fw], \"O\": [b, oc, oh, "
+                 "ow] }, "
+               : "\"dims\": [m, n, k], \"data\": { \"A\": [m, k], \"B\": "
+                 "[k, n], \"C\": [m, n] }, ") +
+         "\"opcode_map\": \"opcode_map< " + OpMap + " >\", " +
+         "\"opcode_flow_map\": { \"F\": \"" + Flow + "\" }, " +
+         "\"selected_flow\": \"F\", \"init_opcodes\": \"" + Init +
+         "\" } ] }";
+}
+
+const char *V3Ops = "sA = [send_literal(0x22), send(0)], "
+                    "sB = [send_literal(0x23), send(1)], "
+                    "cC = [send_literal(0xF0)], "
+                    "rC = [send_literal(0x24), recv(2)], "
+                    "reset = [send_literal(0xFF)]";
+
+analysis::ProtocolFindings checkConfig(const std::string &Json) {
+  std::string Error;
+  auto Config = parser::parseSystemConfig(Json, &Error);
+  if (failed(Config) || Config->Accelerators.empty()) {
+    ADD_FAILURE() << "config does not parse: " << Error << "\n" << Json;
+    return {};
+  }
+  return analysis::checkConfigProtocol(Config->Accelerators.front());
+}
+
+/// True when some finding in \p List contains \p Needle.
+void expectFinding(const std::vector<std::string> &List,
+                   const std::string &Needle) {
+  for (const std::string &Msg : List)
+    if (Msg.find(Needle) != std::string::npos)
+      return;
+  std::string All;
+  for (const std::string &Msg : List)
+    All += "  " + Msg + "\n";
+  ADD_FAILURE() << "no finding contains '" << Needle << "'; got:\n" << All;
+}
+
+TEST(ConfigProtocol, CheckedInStyleConfigIsClean) {
+  analysis::ProtocolFindings F =
+      checkConfig(protocolConfig("matmul_v3_8", V3Ops, "(sA (sB cC rC))"));
+  EXPECT_TRUE(F.ok(/*Strict=*/true));
+}
+
+TEST(ConfigProtocol, OpcodeTheVersionDoesNotImplement) {
+  // cfg (0x10) is v4-only; a v3 engine rejects it.
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_literal(8), "
+                    "send_literal(8), send_literal(8)]";
+  expectFinding(
+      checkConfig(protocolConfig("matmul_v3_8", Ops, "(sA sB cC rC)",
+                                 "(reset cfg)"))
+          .Errors,
+      "not supported");
+}
+
+TEST(ConfigProtocol, DataBurstWhileExpectingOpcode) {
+  // The tile is streamed ahead of its opcode word.
+  std::string Ops = "sA = [send(0), send_literal(0x22)], "
+                    "sB = [send_literal(0x23), send(1)], "
+                    "cC = [send_literal(0xF0)], "
+                    "rC = [send_literal(0x24), recv(2)], "
+                    "reset = [send_literal(0xFF)]";
+  expectFinding(
+      checkConfig(protocolConfig("matmul_v3_8", Ops, "(sA sB cC rC)")).Errors,
+      "expects an opcode");
+}
+
+TEST(ConfigProtocol, BurstOverrun) {
+  // cfg configures an 8-row A tile, but send(0) streams the 16x16
+  // accel_size tile: 128 words too many.
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_literal(8), "
+                    "send_literal(16), send_literal(16)]";
+  expectFinding(checkConfig(protocolConfig("matmul_v4_16", Ops,
+                                           "(sA sB cC rC)", "(reset cfg)",
+                                           "linalg.matmul", "[16, 16, 16]"))
+                    .Errors,
+                "burst overruns");
+}
+
+TEST(ConfigProtocol, V4CfgTileDoesNotFit) {
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_literal(1000), "
+                    "send_literal(1000), send_literal(16)]";
+  expectFinding(checkConfig(protocolConfig("matmul_v4_16", Ops,
+                                           "(sA sB cC rC)", "(reset cfg)",
+                                           "linalg.matmul", "[16, 16, 16]"))
+                    .Errors,
+                "does not fit the internal buffers");
+}
+
+TEST(ConfigProtocol, ConvWindowDoesNotFit) {
+  // fS = 100, iC = 100: 1e6 window words > the 256*7*7 window buffer.
+  std::string Ops = "sIcO = [send_literal(70), send(0)], "
+                    "sF = [send_literal(1), send(1)], "
+                    "rO = [send_literal(8), recv(2)], "
+                    "rst = [send_literal(32), send_literal(100), "
+                    "send_literal(16), send_literal(100)]";
+  expectFinding(checkConfig(protocolConfig("conv2d", Ops, "(sF (sIcO) rO)",
+                                           "(rst)",
+                                           "linalg.conv_2d_nchw_fchw",
+                                           "[0, 1, 0, 0, -1, -1, -1]"))
+                    .Errors,
+                "exceeds the accelerator window buffer");
+}
+
+TEST(ConfigProtocol, UnreachableRecv) {
+  // cC only accumulates; nothing is pending when it receives.
+  std::string Ops = "sA = [send_literal(0x22), send(0)], "
+                    "sB = [send_literal(0x23), send(1)], "
+                    "cC = [send_literal(0xF0), recv(2)], "
+                    "reset = [send_literal(0xFF)]";
+  expectFinding(
+      checkConfig(protocolConfig("matmul_v3_8", Ops, "(sA sB cC)")).Errors,
+      "unreachable recv");
+}
+
+TEST(ConfigProtocol, ScopeThatDoesNotRepeat) {
+  // A bare sA opcode word leaves the A burst open; the next pass's opcode
+  // word is swallowed as payload, so no two passes end alike.
+  std::string Ops = std::string(V3Ops) + ", half = [send_literal(0x22)]";
+  expectFinding(
+      checkConfig(protocolConfig("matmul_v3_8", Ops, "(half)")).Errors,
+      "repeatable state");
+}
+
+TEST(ConfigProtocol, TrailingUnreceivedOutputWarns) {
+  // The init sequence emits a C tile nobody receives.
+  std::string Ops = std::string(V3Ops) + ", emit = [send_literal(0x24)]";
+  analysis::ProtocolFindings F = checkConfig(
+      protocolConfig("matmul_v3_8", Ops, "(sA sB cC rC)", "(reset emit)"));
+  EXPECT_TRUE(F.Errors.empty());
+  expectFinding(F.Warnings, "unreceived");
 }
 
 //===----------------------------------------------------------------------===//
