@@ -88,7 +88,7 @@ private:
       int64_t Tile = dimTile(Dim);
       if (Tile <= 0)
         return -1;
-      Words *= Tile;
+      Words = sim::mulWords(Words, Tile);
     }
     return Words;
   }

@@ -7,33 +7,23 @@
 #include "analysis/ProtocolModel.h"
 
 #include "parser/AcceleratorConfig.h"
-#include "sim/AcceleratorModel.h"
 
 #include <algorithm>
 
 using namespace axi4mlir;
 using namespace axi4mlir::analysis;
-using namespace axi4mlir::sim::opcodes;
 
 using MM = sim::MatMulAccelerator;
 
 ProtocolModel ProtocolModel::matmul(MM::Version Ver, int64_t Size) {
   ProtocolModel M;
-  M.Eng = Engine::MatMul;
-  M.Ver = Ver;
-  M.Capacity = MM::bufferCapacityWordsFor(Ver, Size);
-  M.TileM = M.TileK = M.TileN = Size;
+  M.Fsm = sim::OpcodeFsm::matmul(Ver, Size);
   return M;
 }
 
 ProtocolModel ProtocolModel::conv(int64_t MaxWindowWords) {
   ProtocolModel M;
-  M.Eng = Engine::Conv;
-  M.MaxWindowWords = MaxWindowWords;
-  // Matches ConvAccelerator::reset(): one channel, 1x1 filter until the
-  // SET_* opcodes configure the real geometry.
-  M.ConvIC = 1;
-  M.ConvFS = 1;
+  M.Fsm = sim::OpcodeFsm::conv(MaxWindowWords);
   return M;
 }
 
@@ -60,31 +50,23 @@ ProtocolModel::forAccelerator(const parser::AcceleratorDesc &Accel,
 }
 
 std::string ProtocolModel::stateDescription() const {
-  switch (St) {
-  case State::Idle:
-    return "idle (expecting an opcode word)";
-  case State::Burst:
-    return "mid-burst (" + std::to_string(Remaining) +
-           " payload words outstanding for " + sim::formatOpcode(CurOpcode) +
-           ")";
-  case State::Cfg:
-    return "reading configuration words";
-  case State::GaveUp:
+  if (GaveUp)
     return "untracked";
-  }
-  return "<invalid>";
+  if (Fsm.idle())
+    return "idle (expecting an opcode word)";
+  if (Fsm.readingCfg())
+    return "reading configuration words";
+  return "mid-burst (" + std::to_string(Fsm.remaining()) +
+         " payload words outstanding for " +
+         sim::formatOpcode(Fsm.current()->Opcode) + ")";
 }
 
 bool ProtocolModel::operator==(const ProtocolModel &O) const {
-  return sameFsmPosition(O) && ConvAccWords == O.ConvAccWords &&
-         PendingOut == O.PendingOut;
+  return sameFsmPosition(O) && Slice == O.Slice && PendingOut == O.PendingOut;
 }
 
 bool ProtocolModel::sameFsmPosition(const ProtocolModel &O) const {
-  return Eng == O.Eng && St == O.St && CurOpcode == O.CurOpcode &&
-         Remaining == O.Remaining && CfgFill == O.CfgFill &&
-         TileM == O.TileM && TileK == O.TileK && TileN == O.TileN &&
-         ConvIC == O.ConvIC && ConvFS == O.ConvFS;
+  return GaveUp == O.GaveUp && Fsm == O.Fsm;
 }
 
 void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
@@ -100,205 +82,95 @@ void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
     return AfterOne + (TotalIters - 1) * Delta;
   };
   PendingOut = fold(PendingOut, AfterNext.PendingOut);
-  ConvAccWords = fold(ConvAccWords, AfterNext.ConvAccWords);
+  Slice = fold(Slice, AfterNext.Slice);
 }
 
-static std::string engineName(const ProtocolModel &M) {
-  (void)M;
-  return "accelerator";
-}
-
-std::string ProtocolModel::startMatMulOpcode(uint32_t Opcode) {
-  if (!MM::versionSupportsOpcode(Ver, Opcode))
-    return "opcode " + sim::formatOpcode(Opcode) +
-           " is not supported by this matmul version";
-  if (Opcode == MM_RESET)
-    return ""; // clears internal buffers, stays idle
-  if (Opcode == MM_CFG) {
-    St = State::Cfg;
-    CurOpcode = Opcode;
-    Remaining = MM::burstWordsFor(Opcode, TileM, TileK, TileN);
-    CfgFill = 0;
-    return "";
-  }
-  if (TileM < 0 || TileK < 0 || TileN < 0) {
-    // An untracked cfg made every burst length unknown.
+std::string ProtocolModel::startOpcode(uint32_t Opcode) {
+  std::string Why;
+  if (!Fsm.start(Opcode, &Why))
+    return Why;
+  if (Fsm.expected() < 0) {
+    // Payload length from geometry an untracked cfg made unknown.
     giveUp();
     return "";
   }
-  int64_t Words = MM::burstWordsFor(Opcode, TileM, TileK, TileN);
-  if (Words > 0) {
-    St = State::Burst;
-    CurOpcode = Opcode;
-    Remaining = Words;
-    return "";
-  }
-  // Immediate opcode: compute and/or emit.
-  if (MM::opcodeEmitsOutput(Opcode)) {
-    if (PendingOut >= 0)
-      PendingOut += TileM * TileN;
-  }
-  return "";
+  return Fsm.expected() == 0 ? finishPayload() : "";
 }
 
-std::string ProtocolModel::startConvOpcode(uint32_t Opcode) {
-  if (!sim::ConvAccelerator::isSupportedOpcode(Opcode))
-    return "opcode " + sim::formatOpcode(Opcode) +
-           " is not supported by the conv2d accelerator";
-  switch (Opcode) {
-  case CONV_SET_FS:
-  case CONV_SET_IC:
-    St = State::Cfg;
-    CurOpcode = Opcode;
-    Remaining = 1;
-    CfgFill = 0;
-    return "";
-  case CONV_SF:
-  case CONV_SICO: {
-    if (ConvIC < 0 || ConvFS < 0) {
-      giveUp();
-      return "";
-    }
-    St = State::Burst;
-    CurOpcode = Opcode;
-    Remaining = sim::ConvAccelerator::windowWordsFor(ConvIC, ConvFS);
-    if (Opcode == CONV_SF)
-      ConvAccWords = 0; // a new filter starts a new output slice
-    return "";
-  }
-  case CONV_RO:
-    if (PendingOut >= 0 && ConvAccWords >= 0)
-      PendingOut += ConvAccWords;
-    else
-      PendingOut = -1;
-    ConvAccWords = 0;
-    return "";
-  }
-  return "";
-}
-
-std::string ProtocolModel::finishBurst() {
-  State Was = St;
-  St = State::Idle;
-  Remaining = 0;
-  if (Was == State::Cfg) {
-    if (Eng == Engine::MatMul) {
-      int64_t NewM = CfgWords[0], NewK = CfgWords[1], NewN = CfgWords[2];
-      if (NewM < 0 || NewK < 0 || NewN < 0) {
-        // Unknown cfg payload: tile dimensions become unknown.
-        TileM = TileK = TileN = -1;
-        return "";
-      }
-      if (NewM <= 0 || NewK <= 0 || NewN <= 0 || NewM * NewK > Capacity ||
-          NewK * NewN > Capacity || NewM * NewN > Capacity)
-        return "cfg tile " + std::to_string(NewM) + "x" +
-               std::to_string(NewK) + "x" + std::to_string(NewN) +
-               " does not fit the internal buffers (capacity " +
-               std::to_string(Capacity) + " words per operand)";
-      TileM = NewM;
-      TileK = NewK;
-      TileN = NewN;
-      return "";
-    }
-    // Conv: single cfg word for SET_FS / SET_IC.
-    int64_t V = CfgWords[0];
-    if (CurOpcode == CONV_SET_FS)
-      ConvFS = V;
-    else
-      ConvIC = V;
-    if (ConvFS >= 0 && ConvIC >= 0) {
-      int64_t Window = sim::ConvAccelerator::windowWordsFor(ConvIC, ConvFS);
-      if (ConvFS <= 0 || ConvIC <= 0 || Window > MaxWindowWords)
-        return "conv2d configuration iC=" + std::to_string(ConvIC) +
-               " fS=" + std::to_string(ConvFS) +
-               " exceeds the accelerator window buffer (" +
-               std::to_string(MaxWindowWords) + " words)";
-    }
-    return "";
-  }
-  // Data burst completed.
-  if (Eng == Engine::MatMul) {
-    if (MM::opcodeEmitsOutput(CurOpcode)) {
-      if (PendingOut >= 0 && TileM >= 0 && TileN >= 0)
-        PendingOut += TileM * TileN;
-      else
-        PendingOut = -1;
-    }
-  } else if (CurOpcode == CONV_SICO) {
-    if (ConvAccWords >= 0)
-      ConvAccWords += 1;
+std::string ProtocolModel::finishPayload() {
+  uint8_t Effects = Fsm.current()->Effects;
+  std::string Why;
+  if (!Fsm.finish(&Why))
+    return Why;
+  if (Effects & sim::effect::NewSlice)
+    Slice = 0;
+  if (Effects & sim::effect::Compute)
+    Slice = Fsm.sliceAfterCompute(Slice);
+  if (Effects & sim::effect::Emit) {
+    int64_t Words = Fsm.emitWords(Slice);
+    PendingOut = PendingOut >= 0 && Words >= 0 ? PendingOut + Words : -1;
+    Slice = 0;
   }
   return "";
 }
 
 std::string ProtocolModel::feedWord(const AbstractWord &W) {
-  if (St == State::GaveUp)
+  if (GaveUp)
     return "";
-  if (St == State::Idle) {
-    if (W.K != AbstractWord::Kind::Const) {
-      if (W.K == AbstractWord::Kind::Data)
-        return "data word streamed while the " + engineName(*this) +
-               " expects an opcode";
-      giveUp(); // unknown word steering the FSM: stop tracking
-      return "";
-    }
-    uint32_t Opcode = static_cast<uint32_t>(W.Value);
-    return Eng == Engine::MatMul ? startMatMulOpcode(Opcode)
-                                 : startConvOpcode(Opcode);
+  if (Fsm.idle()) {
+    if (W.K == AbstractWord::Kind::Const)
+      return startOpcode(static_cast<uint32_t>(W.Value));
+    if (W.K == AbstractWord::Kind::Data)
+      return "data word streamed while the accelerator expects an opcode";
+    giveUp(); // unknown word steering the FSM: stop tracking
+    return "";
   }
-  // Burst / cfg payload word.
-  if (St == State::Cfg && CfgFill < 3)
-    CfgWords[CfgFill++] =
-        W.K == AbstractWord::Kind::Const ? W.Value : -1;
-  if (--Remaining == 0)
-    return finishBurst();
-  return "";
+  if (Fsm.readingCfg())
+    Fsm.stageCfg(static_cast<uint32_t>(W.Value),
+                 W.K == AbstractWord::Kind::Const);
+  return Fsm.advance(1) ? finishPayload() : "";
 }
 
 std::string ProtocolModel::feedData(int64_t Count) {
-  if (St == State::GaveUp || Count == 0)
+  if (GaveUp || Count == 0)
     return "";
   if (Count < 0) {
     giveUp();
     return "";
   }
-  if (St == State::Idle)
+  if (Fsm.idle())
     return "data burst of " + std::to_string(Count) +
-           " words streamed while the " + engineName(*this) +
-           " expects an opcode";
-  if (St == State::Cfg) {
-    while (Count > 0 && Remaining > 0) {
+           " words streamed while the accelerator expects an opcode";
+  if (Fsm.readingCfg()) {
+    // Data words staged as cfg words have unknown values.
+    while (Count > 0 && Fsm.readingCfg()) {
       std::string E = feedWord(AbstractWord::data());
       if (!E.empty())
         return E;
       --Count;
     }
-    if (Count > 0)
-      return feedData(Count);
-    return "";
+    return Count > 0 ? feedData(Count) : "";
   }
+  int64_t Remaining = Fsm.remaining();
   if (Count > Remaining) {
-    int64_t Extra = Count - Remaining;
     // The overrun words land on the FSM in Idle state: a burst-length /
     // tile-dimension mismatch.
-    std::string E =
-        "burst overruns " + sim::formatOpcode(CurOpcode) + ": expected " +
-        std::to_string(Remaining) + " more payload words, got " +
-        std::to_string(Extra) + " extra";
-    Remaining = 0;
-    (void)finishBurst();
+    std::string E = "burst overruns " +
+                    sim::formatOpcode(Fsm.current()->Opcode) +
+                    ": expected " + std::to_string(Remaining) +
+                    " more payload words, got " +
+                    std::to_string(Count - Remaining) + " extra";
+    Fsm.advance(Remaining);
+    (void)finishPayload();
     return E;
   }
-  Remaining -= Count;
-  if (Remaining == 0)
-    return finishBurst();
-  return "";
+  return Fsm.advance(Count) ? finishPayload() : "";
 }
 
 std::string ProtocolModel::feedRecv(int64_t Words) {
-  if (St == State::GaveUp || Words == 0)
+  if (GaveUp || Words == 0)
     return "";
-  if (St != State::Idle)
+  if (!Fsm.idle())
     return "receive issued while the accelerator is " + stateDescription();
   if (PendingOut < 0 || Words < 0)
     return ""; // unverifiable; the checker notes it in strict mode

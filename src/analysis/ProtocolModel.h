@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Word-accurate abstract models of the simulated accelerator FSMs
-/// (MatMul v1-v4, Conv2D), built on the static introspection hooks the
-/// real engines expose (versionSupportsOpcode / burstWordsFor /
-/// isSupportedOpcode). The protocol checker streams the words a plan or
-/// a config flow would send — each word classified as a compile-time
-/// constant, tile data, or unknown — and the model reports, statically,
-/// the mistakes that today die mid-simulation: unsupported opcodes, data
-/// streamed while the FSM expects an opcode (flow reordered after data),
-/// bursts that overrun or underrun the tile dimensions, cfg tiles that
-/// do not fit the internal buffers, and receives with no modeled output
-/// pending.
+/// Word-accurate abstract interpretation of the accelerator opcode tables
+/// (sim/OpcodeTable.h). The model steps the same OpcodeFsm the simulated
+/// MatMul v1-v4 and Conv2D engines step, so it accepts, sizes and rejects
+/// streams exactly as they do; what it adds is abstraction. The protocol
+/// checker streams the words a plan or a config flow would send — each
+/// word classified as a compile-time constant, tile data, or unknown —
+/// and the model reports, statically, the mistakes that today die
+/// mid-simulation: unsupported opcodes, data streamed while the FSM
+/// expects an opcode (flow reordered after data), bursts that overrun or
+/// underrun the tile dimensions, cfg tiles that do not fit the internal
+/// buffers, windows that do not match the loaded filter, and receives
+/// with no modeled output pending.
 ///
 /// The model is deliberately conservative: the moment a word it cannot
 /// classify lands in a position that steers the FSM (an unknown opcode
@@ -85,10 +86,10 @@ public:
   /// True when the FSM sits in Idle with no partial burst: the protocol
   /// is at a clean boundary (loop bodies must return here to be safe to
   /// repeat).
-  bool atOpcodeBoundary() const { return St == State::Idle; }
+  bool atOpcodeBoundary() const { return !GaveUp && Fsm.idle(); }
   /// Modeled output words awaiting a receive (-1 = unknown).
   int64_t pendingOutputWords() const { return PendingOut; }
-  bool gaveUp() const { return St == State::GaveUp; }
+  bool gaveUp() const { return GaveUp; }
   /// Human-readable state for diagnostics.
   std::string stateDescription() const;
 
@@ -97,8 +98,8 @@ public:
   bool operator!=(const ProtocolModel &O) const { return !(*this == O); }
 
   /// True when both models sit at the same FSM position with the same
-  /// configuration. The output accumulators (pending words, accumulated
-  /// conv values) are deliberately excluded: a loop body that emits
+  /// geometry. The output accumulators (pending words, the values of the
+  /// current output slice) are deliberately excluded: a loop body that emits
   /// without receiving is protocol-stable even though its accumulators
   /// grow each iteration.
   bool sameFsmPosition(const ProtocolModel &O) const;
@@ -114,31 +115,14 @@ public:
   void invalidate() { giveUp(); }
 
 private:
-  enum class Engine : uint8_t { MatMul, Conv };
-  enum class State : uint8_t { Idle, Burst, Cfg, GaveUp };
+  std::string startOpcode(uint32_t Opcode);
+  std::string finishPayload();
+  void giveUp() { GaveUp = true; }
 
-  std::string startMatMulOpcode(uint32_t Opcode);
-  std::string startConvOpcode(uint32_t Opcode);
-  std::string finishBurst();
-  void giveUp() { St = State::GaveUp; }
-
-  Engine Eng = Engine::MatMul;
-  State St = State::Idle;
-  uint32_t CurOpcode = 0;
-  int64_t Remaining = 0; ///< payload words left in the current burst
-
-  // MatMul configuration (tiles; -1 = unknown after an untracked cfg).
-  sim::MatMulAccelerator::Version Ver = sim::MatMulAccelerator::Version::V1;
-  int64_t Capacity = 0;
-  int64_t TileM = 0, TileK = 0, TileN = 0;
-  int64_t CfgWords[3] = {0, 0, 0};
-  int64_t CfgFill = 0;
-
-  // Conv configuration.
-  int64_t MaxWindowWords = 0;
-  int64_t ConvIC = 1, ConvFS = 1; ///< -1 = unknown
-  int64_t ConvAccWords = 0;       ///< accumulated output values (-1 unknown)
-
+  sim::OpcodeFsm Fsm;
+  bool GaveUp = false;
+  /// Values computed into the current output slice (-1 unknown).
+  int64_t Slice = 0;
   int64_t PendingOut = 0; ///< modeled output FIFO words (-1 unknown)
 };
 

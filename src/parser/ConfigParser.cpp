@@ -198,16 +198,28 @@ static LogicalResult parseAccelerator(const json::Value &AccelValue,
   if (!Size)
     return fail(Error,
                 "accelerator '" + Accel.Name + "' needs 'accel_size'");
+  // Tiles beyond MaxAccelTile are far past Table I's 16-wide engines; the
+  // bound keeps every tile product (protocol checker, tiling cost model,
+  // simulated buffers) inside int64.
+  constexpr int64_t MaxAccelTile = 4096;
+  auto checkTile = [&](int64_t Tile) {
+    if (Tile >= -1 && Tile <= MaxAccelTile)
+      return success();
+    return fail(Error, "accelerator '" + Accel.Name +
+                           "': 'accel_size' entries must be between -1 and " +
+                           std::to_string(MaxAccelTile) + " (got " +
+                           std::to_string(Tile) + ")");
+  };
   if (Size->isInt()) {
+    if (failed(checkTile(Size->asInt())))
+      return failure();
     Accel.AccelSize.assign(3, Size->asInt());
   } else if (Size->isArray()) {
     for (const json::Value &Dim : Size->array()) {
       if (!Dim.isInt())
         return fail(Error, "'accel_size' entries must be integers");
-      if (Dim.asInt() < -1)
-        return fail(Error, "accelerator '" + Accel.Name +
-                               "': 'accel_size' entries must be >= -1 "
-                               "(got " + std::to_string(Dim.asInt()) + ")");
+      if (failed(checkTile(Dim.asInt())))
+        return failure();
       Accel.AccelSize.push_back(Dim.asInt());
     }
   } else {

@@ -30,7 +30,9 @@
 #include "sim/AccelStatus.h"
 #include "sim/CostModel.h"
 #include "sim/FaultInjector.h"
+#include "sim/OpcodeTable.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -43,28 +45,6 @@ namespace sim {
 
 /// Element interpretation of the 32-bit stream words.
 enum class ElemKind { I32, F32 };
-
-/// Opcode literals of the micro-ISAs (the values the host streams ahead of
-/// data bursts; matmul values follow paper Fig. 6a, conv values Fig. 15a).
-namespace opcodes {
-// MatMul family (v1..v4).
-inline constexpr uint32_t MM_RESET = 0xFF;     ///< clear all buffers
-inline constexpr uint32_t MM_SASBCCRC = 0x21;  ///< v1: A,B in; C out
-inline constexpr uint32_t MM_SA = 0x22;        ///< load A tile
-inline constexpr uint32_t MM_SB = 0x23;        ///< load B tile
-inline constexpr uint32_t MM_RC = 0x24;        ///< emit C tile, clear C
-inline constexpr uint32_t MM_SB_CC_RC = 0x25;  ///< B in; compute; C out
-inline constexpr uint32_t MM_SA_CC_RC = 0x26;  ///< A in; compute; C out
-inline constexpr uint32_t MM_CC_RC = 0x27;     ///< v2: compute; C out
-inline constexpr uint32_t MM_CC = 0xF0;        ///< compute, accumulate C
-inline constexpr uint32_t MM_CFG = 0x10;       ///< v4: set tM,tK,tN
-// Conv family (paper Fig. 15a).
-inline constexpr uint32_t CONV_SF = 1;      ///< load filter slice
-inline constexpr uint32_t CONV_RO = 8;      ///< emit output slice
-inline constexpr uint32_t CONV_SET_IC = 16; ///< next word: iC
-inline constexpr uint32_t CONV_SET_FS = 32; ///< next word: fH (== fW)
-inline constexpr uint32_t CONV_SICO = 70;   ///< input window in; compute
-} // namespace opcodes
 
 /// Base class of all accelerator behavioural models. The DMA engine feeds
 /// whole bursts through consumeBurst() and collects results from the
@@ -224,8 +204,125 @@ protected:
   uint64_t PendingStallSteps = 0;
 };
 
-/// Formats an opcode word the way protocol dumps spell it ("0x21").
-std::string formatOpcode(uint32_t Opcode);
+/// The simulator side of an accelerator's opcode table: consumeWord /
+/// consumeBurst step one OpcodeFsm, and \p Derived supplies only its
+/// buffers through these hooks (each optional except copyPayload):
+///
+///   void copyPayload(Payload, size_t Pos, const uint32_t *, size_t);
+///   void beginPayload(Payload, size_t Words); // size the target buffer
+///   void clearBuffers(); void newSlice(); void compute(); void emit();
+///
+/// The hooks are resolved statically: no virtual call per opcode, and the
+/// data bursts still land in the derived buffers at memcpy speed.
+template <typename Derived> class TableDrivenModel : public AcceleratorModel {
+public:
+  void consumeWord(uint32_t Word) override {
+    if (droppingInput(1))
+      return;
+    if (Fsm.idle()) {
+      if (!opcodeFaultRefusal(Word))
+        startOpcode(Word);
+      return;
+    }
+    copyIn(&Word, 1);
+    if (Fsm.advance(1))
+      finishBurst();
+  }
+
+  void consumeBurst(const uint32_t *Words, size_t Count) override {
+    while (Count > 0) {
+      if (droppingInput(Count))
+        return; // drop the rest, like the word path
+      if (Fsm.idle()) {
+        // A refused opcode is already counted as dropped.
+        if (!opcodeFaultRefusal(*Words))
+          startOpcode(*Words);
+        ++Words;
+        --Count;
+        continue;
+      }
+      // Absorb as much of the pending payload as this transfer holds in
+      // one shot: no per-word FSM step, no staging copy.
+      size_t Take = std::min(Count, static_cast<size_t>(Fsm.remaining()));
+      copyIn(Words, Take);
+      Words += Take;
+      Count -= Take;
+      if (Fsm.advance(static_cast<int64_t>(Take)))
+        finishBurst();
+    }
+  }
+
+  void reset() override {
+    AcceleratorModel::reset();
+    Fsm.reset();
+  }
+
+protected:
+  explicit TableDrivenModel(const OpcodeFsm &Fsm) : Fsm(Fsm) {}
+
+  /// The burst plumbing is protected (not private) so tests can pin the
+  /// out-of-protocol paths: calling either while idle must signal a
+  /// diagnosable error, never Release-mode UB.
+  /// Copies \p Count payload words to position fill() of the current
+  /// opcode's payload (cfg words stage in the FSM).
+  void copyIn(const uint32_t *Words, size_t Count) {
+    if (Fsm.idle()) {
+      signalError(getName() + ": copyIn in Idle state (protocol violation)");
+      return;
+    }
+    if (Fsm.readingCfg())
+      Fsm.stageCfg(Words, Count);
+    else
+      self().copyPayload(Fsm.current()->Load,
+                         static_cast<size_t>(Fsm.fill()), Words, Count);
+  }
+
+  /// Completes the current opcode: its geometry rule, then its effects.
+  void finishBurst() {
+    if (Fsm.idle()) {
+      signalError(getName() +
+                  ": finishBurst in Idle state (protocol violation)");
+      return;
+    }
+    uint8_t Effects = Fsm.current()->Effects;
+    std::string Why;
+    if (!Fsm.finish(&Why)) {
+      signalError(getName() + ": " + Why);
+      return;
+    }
+    if (Effects & effect::ClearBuffers)
+      self().clearBuffers();
+    if (Effects & effect::NewSlice)
+      self().newSlice();
+    if (Effects & effect::Compute)
+      self().compute();
+    if (Effects & effect::Emit)
+      self().emit();
+  }
+
+  // Defaults for the optional hooks.
+  void beginPayload(Payload, size_t) {}
+  void clearBuffers() {}
+  void newSlice() {}
+
+  OpcodeFsm Fsm;
+
+private:
+  Derived &self() { return static_cast<Derived &>(*this); }
+
+  void startOpcode(uint32_t Opcode) {
+    std::string Why;
+    if (!Fsm.start(Opcode, &Why)) {
+      signalError(getName() + ": " + Why);
+      return;
+    }
+    if (Fsm.expected() == 0)
+      finishBurst();
+    else
+      self().beginPayload(Fsm.current()->Load,
+                          static_cast<size_t>(Fsm.expected()));
+  }
+};
 
 /// Bit-level conversions between stream words and element values.
 inline float wordToFloat(uint32_t Word) {

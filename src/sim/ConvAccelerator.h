@@ -28,8 +28,10 @@
 namespace axi4mlir {
 namespace sim {
 
-/// Behavioural model of the Conv2D accelerator.
-class ConvAccelerator : public AcceleratorModel {
+/// Behavioural model of the Conv2D accelerator. The protocol is
+/// ConvOpcodes (OpcodeTable.h); this class holds the buffers and the
+/// compute/emit bodies.
+class ConvAccelerator : public TableDrivenModel<ConvAccelerator> {
 public:
   /// Window-buffer capacity of the default engine build (256 channels of
   /// 7x7 filters). The static protocol model uses the same bound.
@@ -38,49 +40,39 @@ public:
   ConvAccelerator(ElemKind Kind, const SoCParams &Params,
                   int64_t MaxWindowWords = DefaultMaxWindowWords);
 
-  void consumeWord(uint32_t Word) override;
-  void consumeBurst(const uint32_t *Words, size_t Count) override;
   std::string getName() const override { return "conv2d"; }
   void reset() override;
   std::unique_ptr<AcceleratorModel> cloneFresh() const override {
-    return std::make_unique<ConvAccelerator>(Kind, Params, MaxWindowWords);
+    return std::make_unique<ConvAccelerator>(Kind, Params, Fsm.capacity());
   }
 
-  int64_t getInputChannels() const { return InputChannels; }
-  int64_t getFilterSize() const { return FilterSize; }
+  int64_t getInputChannels() const { return Fsm.geometry().channels(); }
+  int64_t getFilterSize() const { return Fsm.geometry().filterSize(); }
   uint64_t getWindowsComputed() const { return WindowsComputed; }
 
-  /// Static FSM introspection for the protocol checker (see the matching
-  /// hooks on MatMulAccelerator).
-  static bool isSupportedOpcode(uint32_t Opcode);
-  static int64_t windowWordsFor(int64_t InputChannels, int64_t FilterSize) {
-    return InputChannels * FilterSize * FilterSize;
-  }
-
 private:
-  void startOpcode(uint32_t Opcode);
-  void finishBurst();
-  template <ElemKind K> double windowDot() const;
-  int64_t windowWords() const {
-    return windowWordsFor(InputChannels, FilterSize);
+  friend class TableDrivenModel<ConvAccelerator>;
+
+  void beginPayload(Payload Load, size_t Words) {
+    (Load == Payload::Filter ? Filter : Window).resize(Words);
   }
+  void copyPayload(Payload Load, size_t Pos, const uint32_t *Words,
+                   size_t Count) {
+    uint32_t *Dst = Load == Payload::Filter ? Filter.data() : Window.data();
+    std::memcpy(Dst + Pos, Words, Count * sizeof(uint32_t));
+  }
+  /// Loading a new filter starts a new output slice.
+  void newSlice() { OutputAcc.clear(); }
+  void compute();
+  void emit();
+  template <ElemKind K> double windowDot() const;
 
   ElemKind Kind;
   SoCParams Params;
-  int64_t MaxWindowWords;
-
-  int64_t InputChannels = 1;
-  int64_t FilterSize = 1;
 
   std::vector<uint32_t> Filter;
   std::vector<uint32_t> Window;  // input window being received
   std::vector<double> OutputAcc; // output slice values, in emission order
-
-  enum class State { Idle, ReadFilterSize, ReadInputChannels, ReadFilter,
-                     ReadWindow };
-  State St = State::Idle;
-  size_t BurstFill = 0;
-  size_t BurstExpected = 0;
 
   uint64_t WindowsComputed = 0;
 };

@@ -7,11 +7,9 @@
 #include "sim/MatMulAccelerator.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
-using namespace axi4mlir::sim::opcodes;
 
 AcceleratorModel::~AcceleratorModel() = default;
 
@@ -74,297 +72,57 @@ size_t AcceleratorModel::drainOutputInto(uint32_t *Dst, size_t MaxWords) {
   return Count;
 }
 
-std::string axi4mlir::sim::formatOpcode(uint32_t Opcode) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Hex;
-  do {
-    Hex.insert(Hex.begin(), Digits[Opcode & 0xF]);
-    Opcode >>= 4;
-  } while (Opcode != 0);
-  return "0x" + Hex;
-}
-
 MatMulAccelerator::MatMulAccelerator(Version Ver, int64_t Size, ElemKind Kind,
                                      const SoCParams &Params)
-    : Ver(Ver), BaseSize(Size), Kind(Kind), Params(Params), TileM(Size),
-      TileN(Size), TileK(Size) {
-  // v4's internal memories allow rectangular tiles up to 128x the default
-  // square-tile footprint per operand (a v4_16 fits e.g. 32x16x64,
-  // paper Sec. IV-B "flex size").
-  BufferCapacityWords = bufferCapacityWordsFor(Ver, Size);
+    : TableDrivenModel(OpcodeFsm::matmul(Ver, Size)), Kind(Kind),
+      Params(Params) {
   reset();
 }
 
-int64_t MatMulAccelerator::bufferCapacityWordsFor(Version Ver, int64_t Size) {
-  return Ver == Version::V4 ? Size * Size * 16 : Size * Size;
-}
-
-int64_t MatMulAccelerator::burstWordsFor(uint32_t Opcode, int64_t TileM,
-                                         int64_t TileK, int64_t TileN) {
-  switch (Opcode) {
-  case MM_CFG:
-    return 3; // tM, tK, tN.
-  case MM_SA:
-  case MM_SA_CC_RC:
-    return TileM * TileK;
-  case MM_SB:
-  case MM_SB_CC_RC:
-    return TileK * TileN;
-  case MM_SASBCCRC:
-    return TileM * TileK + TileK * TileN;
-  default:
-    return 0; // immediate: reset / compute / emit.
-  }
-}
-
-bool MatMulAccelerator::opcodeEmitsOutput(uint32_t Opcode) {
-  switch (Opcode) {
-  case MM_SASBCCRC:
-  case MM_SA_CC_RC:
-  case MM_SB_CC_RC:
-  case MM_CC_RC:
-  case MM_RC:
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::string MatMulAccelerator::getName() const {
-  std::string Name = "matmul_v";
-  switch (Ver) {
-  case Version::V1:
-    Name += "1";
-    break;
-  case Version::V2:
-    Name += "2";
-    break;
-  case Version::V3:
-    Name += "3";
-    break;
-  case Version::V4:
-    Name += "4";
-    break;
-  }
-  return Name + "_" + std::to_string(BaseSize);
+  return "matmul_v" + std::to_string(static_cast<int>(Fsm.version()) + 1) +
+         "_" + std::to_string(Fsm.baseSize());
 }
 
 std::unique_ptr<AcceleratorModel> MatMulAccelerator::cloneFresh() const {
-  return std::make_unique<MatMulAccelerator>(Ver, BaseSize, Kind, Params);
+  return std::make_unique<MatMulAccelerator>(Fsm.version(), Fsm.baseSize(),
+                                             Kind, Params);
 }
 
 void MatMulAccelerator::reset() {
-  AcceleratorModel::reset();
-  TileM = TileN = TileK = BaseSize;
-  BufA.assign(static_cast<size_t>(TileM * TileK), 0);
-  BufB.assign(static_cast<size_t>(TileK * TileN), 0);
-  AccC.assign(static_cast<size_t>(TileM * TileN), 0.0);
-  St = State::Idle;
-  BurstFill = 0;
-  BurstExpected = 0;
+  TableDrivenModel::reset();
+  clearBuffers();
   TilesComputed = 0;
 }
 
-bool MatMulAccelerator::versionSupportsOpcode(Version Ver, uint32_t Opcode) {
-  switch (Opcode) {
-  case MM_RESET:
-    return true;
-  case MM_SASBCCRC:
-    return Ver == Version::V1;
-  case MM_SA:
-  case MM_SB:
-    return Ver != Version::V1;
-  case MM_CC_RC:
-  case MM_SB_CC_RC:
-  case MM_SA_CC_RC:
-    return Ver == Version::V2 || Ver == Version::V3 || Ver == Version::V4;
-  case MM_CC:
-  case MM_RC:
-    return Ver == Version::V3 || Ver == Version::V4;
-  case MM_CFG:
-    return Ver == Version::V4;
-  default:
-    return false;
-  }
+void MatMulAccelerator::clearBuffers() {
+  // Sized to the current tile: a cfg resizes, a reset opcode only zeroes.
+  BufA.assign(static_cast<size_t>(getTileM() * getTileK()), 0);
+  BufB.assign(static_cast<size_t>(getTileK() * getTileN()), 0);
+  AccC.assign(static_cast<size_t>(getTileM() * getTileN()), 0.0);
 }
 
-bool MatMulAccelerator::supportsOpcode(uint32_t Opcode) const {
-  return versionSupportsOpcode(Ver, Opcode);
-}
-
-void MatMulAccelerator::consumeWord(uint32_t Word) {
-  if (droppingInput(1))
-    return;
-  if (St == State::Idle) {
-    if (opcodeFaultRefusal(Word))
-      return;
-    startOpcode(Word);
-    return;
-  }
-  copyIn(&Word, 1);
-  if (++BurstFill == BurstExpected)
-    finishBurst();
-}
-
-void MatMulAccelerator::consumeBurst(const uint32_t *Words, size_t Count) {
-  while (Count > 0) {
-    if (droppingInput(Count))
-      return; // drop the rest, like the word path
-    if (St == State::Idle) {
-      if (opcodeFaultRefusal(*Words)) {
-        ++Words; // refused opcode: already counted as dropped
-        --Count;
-        continue;
-      }
-      startOpcode(*Words++);
-      --Count;
-      continue;
-    }
-    // Absorb as much of the pending data burst as this transfer holds in
-    // one shot: no per-word FSM step, no staging copy.
-    size_t Take = std::min(Count, BurstExpected - BurstFill);
-    copyIn(Words, Take);
-    Words += Take;
-    Count -= Take;
-    if ((BurstFill += Take) == BurstExpected)
-      finishBurst();
-  }
-}
-
-void MatMulAccelerator::copyIn(const uint32_t *Words, size_t Count) {
-  size_t Pos = BurstFill;
-  switch (St) {
-  case State::ReadCfg:
-    std::memcpy(CfgWords + Pos, Words, Count * sizeof(uint32_t));
-    return;
-  case State::ReadA:
-    std::memcpy(BufA.data() + Pos, Words, Count * sizeof(uint32_t));
-    return;
-  case State::ReadB:
+void MatMulAccelerator::copyPayload(Payload Load, size_t Pos,
+                                    const uint32_t *Words, size_t Count) {
+  if (Load == Payload::B) {
     std::memcpy(BufB.data() + Pos, Words, Count * sizeof(uint32_t));
     return;
-  case State::ReadAThenB: {
-    // The v1 combined burst: A's words first, B's words after.
-    size_t ASize = static_cast<size_t>(TileM * TileK);
-    if (Pos < ASize) {
-      size_t ToA = std::min(Count, ASize - Pos);
-      std::memcpy(BufA.data() + Pos, Words, ToA * sizeof(uint32_t));
-      Words += ToA;
-      Count -= ToA;
-      Pos = ASize;
-    }
-    if (Count > 0)
-      std::memcpy(BufB.data() + (Pos - ASize), Words,
-                  Count * sizeof(uint32_t));
-    return;
   }
-  case State::Idle:
-    // Out-of-protocol use; diagnosable in every build type (was a
-    // Release-stripped assert).
-    signalError(getName() + ": copyIn in Idle state (protocol violation)");
-    return;
+  // A, or the v1 combined burst: A's words first, B's words after.
+  size_t ASize = BufA.size();
+  if (Pos < ASize) {
+    size_t ToA = std::min(Count, ASize - Pos);
+    std::memcpy(BufA.data() + Pos, Words, ToA * sizeof(uint32_t));
+    Words += ToA;
+    Count -= ToA;
+    Pos = ASize;
   }
-}
-
-void MatMulAccelerator::startOpcode(uint32_t Opcode) {
-  if (!supportsOpcode(Opcode)) {
-    signalError(getName() + ": unsupported opcode " + formatOpcode(Opcode));
-    return;
-  }
-  CurrentOpcode = Opcode;
-  BurstFill = 0;
-  switch (Opcode) {
-  case MM_RESET:
-    // Clear data but keep the error state machinery.
-    BufA.assign(BufA.size(), 0);
-    BufB.assign(BufB.size(), 0);
-    AccC.assign(AccC.size(), 0.0);
-    St = State::Idle;
-    return;
-  case MM_CFG:
-    St = State::ReadCfg;
-    BurstExpected = static_cast<size_t>(burstWordsFor(Opcode, TileM, TileK, TileN));
-    return;
-  case MM_SA:
-  case MM_SA_CC_RC:
-    St = State::ReadA;
-    BurstExpected = static_cast<size_t>(burstWordsFor(Opcode, TileM, TileK, TileN));
-    return;
-  case MM_SB:
-  case MM_SB_CC_RC:
-    St = State::ReadB;
-    BurstExpected = static_cast<size_t>(burstWordsFor(Opcode, TileM, TileK, TileN));
-    return;
-  case MM_SASBCCRC:
-    St = State::ReadAThenB;
-    BurstExpected = static_cast<size_t>(burstWordsFor(Opcode, TileM, TileK, TileN));
-    return;
-  case MM_CC:
-    compute();
-    St = State::Idle;
-    return;
-  case MM_CC_RC:
-    compute();
-    emitC();
-    St = State::Idle;
-    return;
-  case MM_RC:
-    emitC();
-    St = State::Idle;
-    return;
-  default:
-    signalError(getName() + ": unhandled opcode");
-    return;
-  }
-}
-
-void MatMulAccelerator::finishBurst() {
-  switch (St) {
-  case State::ReadCfg: {
-    int64_t NewM = static_cast<int32_t>(CfgWords[0]);
-    int64_t NewK = static_cast<int32_t>(CfgWords[1]);
-    int64_t NewN = static_cast<int32_t>(CfgWords[2]);
-    if (NewM <= 0 || NewK <= 0 || NewN <= 0 ||
-        NewM * NewK > BufferCapacityWords ||
-        NewK * NewN > BufferCapacityWords ||
-        NewM * NewN > BufferCapacityWords) {
-      signalError(getName() + ": cfg tile does not fit internal buffers");
-      return;
-    }
-    TileM = NewM;
-    TileK = NewK;
-    TileN = NewN;
-    BufA.assign(static_cast<size_t>(TileM * TileK), 0);
-    BufB.assign(static_cast<size_t>(TileK * TileN), 0);
-    AccC.assign(static_cast<size_t>(TileM * TileN), 0.0);
-    break;
-  }
-  case State::ReadA:
-    if (CurrentOpcode == MM_SA_CC_RC) {
-      compute();
-      emitC();
-    }
-    break;
-  case State::ReadB:
-    if (CurrentOpcode == MM_SB_CC_RC) {
-      compute();
-      emitC();
-    }
-    break;
-  case State::ReadAThenB:
-    compute();
-    emitC();
-    break;
-  case State::Idle:
-    signalError(getName() +
-                ": finishBurst in Idle state (protocol violation)");
-    break;
-  }
-  BurstFill = 0;
-  St = State::Idle;
+  if (Count > 0)
+    std::memcpy(BufB.data() + (Pos - ASize), Words, Count * sizeof(uint32_t));
 }
 
 template <ElemKind K> void MatMulAccelerator::computeTile() {
+  const int64_t TileM = getTileM(), TileK = getTileK(), TileN = getTileN();
   // C[m][n] += sum_k A[m][k] * B[k][n], elementwise on the configured
   // tile, in M-K-N order over a per-row accumulator so the inner loop
   // sweeps both B and the accumulator contiguously (SIMD-friendly).
@@ -409,20 +167,21 @@ void MatMulAccelerator::compute() {
   else
     computeTile<ElemKind::I32>();
   // Table I throughput: 2*M*N*K OPs at OPsPerCycle.
-  double Ops = 2.0 * static_cast<double>(TileM) *
-               static_cast<double>(TileN) * static_cast<double>(TileK);
-  chargeCompute(Ops / matmulOpsPerCycle(BaseSize));
+  double Ops = 2.0 * static_cast<double>(getTileM()) *
+               static_cast<double>(getTileN()) *
+               static_cast<double>(getTileK());
+  chargeCompute(Ops / matmulOpsPerCycle(Fsm.baseSize()));
   ++TilesComputed;
 }
 
 template <ElemKind K> void MatMulAccelerator::emitCImpl() {
-  size_t Elements = static_cast<size_t>(TileM * TileN);
+  size_t Elements = AccC.size();
   reserveOutput(Elements);
   for (size_t I = 0; I < Elements; ++I)
     pushOutput(valueToWord<K>(AccC[I]));
 }
 
-void MatMulAccelerator::emitC() {
+void MatMulAccelerator::emit() {
   if (Kind == ElemKind::F32)
     emitCImpl<ElemKind::F32>();
   else

@@ -29,10 +29,12 @@
 namespace axi4mlir {
 namespace sim {
 
-/// Behavioural model of one MatMul accelerator instance.
-class MatMulAccelerator : public AcceleratorModel {
+/// Behavioural model of one MatMul accelerator instance. The protocol is
+/// MatMulOpcodes (OpcodeTable.h); this class holds the buffers and the
+/// compute/emit bodies.
+class MatMulAccelerator : public TableDrivenModel<MatMulAccelerator> {
 public:
-  enum class Version { V1, V2, V3, V4 };
+  using Version = MatMulVersion;
 
   /// \p Size is the supported square tile size (Table I). For V4 this is
   /// the default tile; cfg opcodes may change tM/tK/tN at runtime as long
@@ -49,79 +51,34 @@ public:
   static FailureOr<Version> versionFromName(const std::string &Name,
                                             std::string &Error);
 
-  void consumeWord(uint32_t Word) override;
-  void consumeBurst(const uint32_t *Words, size_t Count) override;
   std::string getName() const override;
   void reset() override;
   std::unique_ptr<AcceleratorModel> cloneFresh() const override;
 
-  int64_t getTileM() const { return TileM; }
-  int64_t getTileN() const { return TileN; }
-  int64_t getTileK() const { return TileK; }
-  /// Per-operand internal buffer capacity in words.
-  int64_t getBufferCapacityWords() const { return BufferCapacityWords; }
+  int64_t getTileM() const { return Fsm.geometry().tileM(); }
+  int64_t getTileN() const { return Fsm.geometry().tileN(); }
+  int64_t getTileK() const { return Fsm.geometry().tileK(); }
   uint64_t getTilesComputed() const { return TilesComputed; }
 
-  //===--------------------------------------------------------------------===//
-  // Static FSM introspection
-  //
-  // The static protocol checker (src/analysis/ProtocolModel) mirrors this
-  // FSM without instantiating it. These hooks are the single source of
-  // truth the real FSM and the abstract model share: the version's opcode
-  // set, the buffer capacity rule and the per-opcode burst length.
-  //===--------------------------------------------------------------------===//
-
-  /// True when \p Opcode is part of version \p Ver's micro-ISA (Table I).
-  static bool versionSupportsOpcode(Version Ver, uint32_t Opcode);
-  /// Per-operand internal buffer capacity in words for \p Ver at default
-  /// tile size \p Size (v4's flex memories allow 16x the square tile).
-  static int64_t bufferCapacityWordsFor(Version Ver, int64_t Size);
-  /// Expected data-burst payload words for \p Opcode under the given tile
-  /// dimensions (0 for immediate opcodes; MM_CFG expects 3 cfg words).
-  static int64_t burstWordsFor(uint32_t Opcode, int64_t TileM, int64_t TileK,
-                               int64_t TileN);
-  /// True when completing \p Opcode pushes a TileM*TileN output tile into
-  /// the drain FIFO.
-  static bool opcodeEmitsOutput(uint32_t Opcode);
-
-protected:
-  /// The burst plumbing is protected (not private) so tests can pin the
-  /// out-of-protocol paths: calling either in Idle state must signal a
-  /// diagnosable error, never Release-mode UB.
-  /// Copies \p Count burst words into the receive target of the current
-  /// state at position BurstFill (BufA/BufB, split A-then-B, or the cfg
-  /// staging words).
-  void copyIn(const uint32_t *Words, size_t Count);
-  void finishBurst();
-
 private:
-  bool supportsOpcode(uint32_t Opcode) const;
-  void startOpcode(uint32_t Opcode);
+  friend class TableDrivenModel<MatMulAccelerator>;
+
+  void copyPayload(Payload Load, size_t Pos, const uint32_t *Words,
+                   size_t Count);
+  void clearBuffers();
   void compute();
   template <ElemKind K> void computeTile();
-  void emitC();
+  void emit();
   template <ElemKind K> void emitCImpl();
 
-  Version Ver;
-  int64_t BaseSize;
   ElemKind Kind;
   SoCParams Params;
-
-  int64_t TileM, TileN, TileK;
-  int64_t BufferCapacityWords;
 
   std::vector<uint32_t> BufA, BufB;
   std::vector<double> AccC; // accumulator (double covers i32 & f32 exactly)
   /// Scratch row accumulator for computeTile (persists across tiles to
   /// avoid per-compute allocation).
   std::vector<double> RowAcc;
-
-  enum class State { Idle, ReadCfg, ReadA, ReadB, ReadAThenB };
-  State St = State::Idle;
-  uint32_t CurrentOpcode = 0;
-  uint32_t CfgWords[3] = {0, 0, 0}; // tM, tK, tN staging
-  size_t BurstFill = 0;             // words of the burst received so far
-  size_t BurstExpected = 0;
 
   uint64_t TilesComputed = 0;
 };

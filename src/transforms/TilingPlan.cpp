@@ -165,24 +165,25 @@ transforms::planForAccelerator(const std::vector<int64_t> &LoopRanges,
 namespace {
 
 /// Sum of |coeff| over the dims of a linear indexing expression, mapped
-/// through \p PerDim; returns the tile footprint of one map result.
-int64_t resultFootprint(AffineExpr Expr,
-                        const std::vector<int64_t> &PerDim) {
+/// through \p PerDim; returns the tile footprint of one map result. The
+/// cost model works in doubles, which are exact for every realistic tile
+/// and cannot overflow on the products of large ones.
+double resultFootprint(AffineExpr Expr, const std::vector<int64_t> &PerDim) {
   switch (Expr.getKind()) {
   case AffineExpr::Kind::Constant:
     return 0;
   case AffineExpr::Kind::Dim:
-    return PerDim[Expr.getPosition()] - 1;
+    return static_cast<double>(PerDim[Expr.getPosition()]) - 1;
   case AffineExpr::Kind::Add:
     return resultFootprint(Expr.getLHS(), PerDim) +
            resultFootprint(Expr.getRHS(), PerDim);
   case AffineExpr::Kind::Mul: {
     AffineExpr LHS = Expr.getLHS(), RHS = Expr.getRHS();
     if (RHS.isConstant())
-      return std::abs(RHS.getConstantValue()) *
+      return std::fabs(static_cast<double>(RHS.getConstantValue())) *
              resultFootprint(LHS, PerDim);
     if (LHS.isConstant())
-      return std::abs(LHS.getConstantValue()) *
+      return std::fabs(static_cast<double>(LHS.getConstantValue())) *
              resultFootprint(RHS, PerDim);
     return 0;
   }
@@ -192,9 +193,8 @@ int64_t resultFootprint(AffineExpr Expr,
 }
 
 /// Elements of one operand tile under per-dimension footprints.
-int64_t operandTileElements(AffineMap Map,
-                            const std::vector<int64_t> &PerDim) {
-  int64_t Elements = 1;
+double operandTileElements(AffineMap Map, const std::vector<int64_t> &PerDim) {
+  double Elements = 1;
   for (const AffineExpr &Result : Map.getResults())
     Elements *= 1 + resultFootprint(Result, PerDim);
   return Elements;
@@ -227,7 +227,7 @@ double transforms::estimatePlanCostMs(const TilingPlan &Plan,
   // cancels out of the comparison.
   double WordsPerStep = 0.0;
   for (const AffineMap &Map : IndexingMaps)
-    WordsPerStep += static_cast<double>(operandTileElements(Map, Tiles));
+    WordsPerStep += operandTileElements(Map, Tiles);
   double Words = WordsPerStep * AccelSteps;
   double Bytes = Words * 4.0;
 

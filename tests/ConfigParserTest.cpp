@@ -200,6 +200,35 @@ TEST(ConfigParser, RejectsNonsenseAccelSize) {
   EXPECT_NE(Error.find("accel_size"), std::string::npos) << Error;
 }
 
+// A tile this large would overflow the int64 tile products of the
+// protocol checker and the tiling cost model; the parser names the field.
+TEST(ConfigParser, RejectsOversizedAccelSize) {
+  for (const char *Size : {"[4000000000, 4000000000, 4000000000]",
+                           "[16, 4097, 16]", "4000000000"}) {
+    std::string Error;
+    EXPECT_TRUE(failed(parseSystemConfig(
+        std::string(R"json({
+      "accelerators": [{ "name": "matmul_v4_16", "kernel": "linalg.matmul",
+        "accel_size": )json") +
+            Size + R"json(,
+        "opcode_map": "t = [send_literal(1), send(0), recv(2)]",
+        "opcode_flow_map": { "Ns": "(t)" } }]
+    })json",
+        &Error)))
+        << Size;
+    EXPECT_NE(Error.find("'accel_size'"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("4096"), std::string::npos) << Error;
+  }
+  // The bound itself is accepted.
+  std::string Error;
+  EXPECT_TRUE(succeeded(parseSystemConfig(R"json({
+    "accelerators": [{ "name": "matmul_v4_16", "kernel": "linalg.matmul",
+      "accel_size": [4096, 4096, 4096],
+      "opcode_map": "t = [send_literal(1), send(0), recv(2)]",
+      "opcode_flow_map": { "Ns": "(t)" } }]
+  })json", &Error))) << Error;
+}
+
 TEST(ConfigParser, LibraryMatMulConfigsParse) {
   for (V Version : {V::V1, V::V2, V::V3, V::V4}) {
     for (int64_t Size : {4, 8, 16}) {

@@ -397,6 +397,43 @@ TEST(ConfigProtocol, TrailingUnreceivedOutputWarns) {
   expectFinding(F.Warnings, "unreceived");
 }
 
+// The wire carries 32-bit words: a wider cfg literal reaches the engine as
+// its low word, and the checker reads it the same way.
+TEST(ConfigProtocol, WideCfgLiteralReadAs32Bits) {
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_literal(0x100000010), "
+                    "send_literal(16), send_literal(16)]";
+  analysis::ProtocolFindings F = checkConfig(
+      protocolConfig("matmul_v4_16", Ops, "(sA (sB cC rC))", "(reset cfg)",
+                     "linalg.matmul", "[16, 16, 16]"));
+  EXPECT_TRUE(F.ok(/*Strict=*/true));
+}
+
+// 0x7fffffffffff reads as the 32-bit word 0xffffffff (-1): a tile that
+// does not fit, diagnosed without overflowing the fit check.
+TEST(ConfigProtocol, HugeCfgLiteralRejectedWithoutOverflow) {
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_literal(0x7fffffffffff), "
+                    "send_literal(0x7fffffffffff), send_literal(16)]";
+  expectFinding(checkConfig(protocolConfig("matmul_v4_16", Ops,
+                                           "(sA sB cC rC)", "(reset cfg)",
+                                           "linalg.matmul", "[16, 16, 16]"))
+                    .Errors,
+                "cfg tile -1x-1x16 does not fit");
+}
+
+// The largest accel_size the parser accepts streams through the v4 model
+// (capacity 16 * 4096^2 words) without overflow.
+TEST(ConfigProtocol, LargestAccelSizeChecksWithoutOverflow) {
+  std::string Ops = std::string(V3Ops) +
+                    ", cfg = [send_literal(0x10), send_dim(0, 0), "
+                    "send_dim(0, 1), send_dim(1, 1)]";
+  analysis::ProtocolFindings F = checkConfig(
+      protocolConfig("matmul_v4_4096", Ops, "(sA (sB cC rC))", "(reset cfg)",
+                     "linalg.matmul", "[4096, 4096, 4096]"));
+  EXPECT_TRUE(F.ok(/*Strict=*/true));
+}
+
 //===----------------------------------------------------------------------===//
 // Verify-each wiring: the optimizer refuses to hand back a corrupt plan
 //===----------------------------------------------------------------------===//

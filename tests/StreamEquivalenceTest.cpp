@@ -12,8 +12,15 @@
 /// behaviour. This is what licenses the DMA engine driving the memcpy
 /// fast path instead of the word-level reference FSM.
 ///
+/// Every such stream is also replayed against the static checker's model
+/// of the same engine (analysis::ProtocolModel), word by word as
+/// constants: both interpret one opcode table, so they must reject the
+/// same word with the same message and agree on the pending output at
+/// every opcode boundary.
+///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ProtocolModel.h"
 #include "sim/SoC.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +34,13 @@ using namespace axi4mlir::sim::opcodes;
 
 namespace {
 
-using ModelFactory = std::function<std::unique_ptr<AcceleratorModel>()>;
+/// Builds fresh simulator instances of one engine, and carries the
+/// static checker's model of the same engine.
+struct ModelFactory {
+  std::function<std::unique_ptr<AcceleratorModel>()> Make;
+  analysis::ProtocolModel Checker;
+  std::unique_ptr<AcceleratorModel> operator()() const { return Make(); }
+};
 
 /// Observable state after a stream has been consumed.
 struct Observation {
@@ -54,11 +67,51 @@ void expectSameObservation(const Observation &Ref, const Observation &Got,
   EXPECT_EQ(Ref.ErrorText, Got.ErrorText) << What;
 }
 
+/// Streams \p Words to a fresh simulator (as the 32-bit words the wire
+/// carries) and to the checker's model (as constants), word by word. The
+/// first error must land on the same word with the same message (the
+/// simulator prefixes its name), and at every opcode boundary before it
+/// the modeled pending output must equal the simulator's; both are then
+/// drained, the model through feedRecv.
+void checkAgainstChecker(const ModelFactory &Make,
+                         const std::vector<int64_t> &Words) {
+  auto Sim = Make();
+  analysis::ProtocolModel Model = Make.Checker;
+  std::string SimError, ModelError;
+  size_t SimErrorAt = Words.size(), ModelErrorAt = Words.size();
+  for (size_t I = 0; I < Words.size(); ++I) {
+    Sim->consumeWord(static_cast<uint32_t>(Words[I]));
+    std::string E = Model.feedWord(analysis::AbstractWord::constant(Words[I]));
+    if (Sim->hadError() || !E.empty()) {
+      SimErrorAt = Sim->hadError() ? I : SimErrorAt;
+      ModelErrorAt = E.empty() ? ModelErrorAt : I;
+        SimError = Sim->errorMessage();
+      ModelError = E;
+      break;
+    }
+    if (!Model.atOpcodeBoundary())
+      continue;
+    size_t Available = Sim->outputAvailable();
+    ASSERT_EQ(Model.pendingOutputWords(), static_cast<int64_t>(Available))
+        << "after word " << I;
+    Sim->drainOutput(Available);
+    EXPECT_EQ(Model.feedRecv(static_cast<int64_t>(Available)), "")
+        << "after word " << I;
+  }
+  EXPECT_EQ(SimErrorAt, ModelErrorAt)
+      << "simulator: " << SimError << "\nchecker: " << ModelError;
+  if (SimErrorAt == ModelErrorAt && SimErrorAt < Words.size()) {
+    EXPECT_EQ(SimError, Sim->getName() + ": " + ModelError);
+  }
+}
+
 /// Runs \p Stream through fresh models word-at-a-time (the semantic
 /// reference), as one burst, and in randomized burst splits, and asserts
-/// identical observable behaviour.
+/// identical observable behaviour; then replays it against the checker.
 void checkStreamEquivalence(const ModelFactory &Make,
                             const std::vector<uint32_t> &Stream) {
+  checkAgainstChecker(Make,
+                      std::vector<int64_t>(Stream.begin(), Stream.end()));
   auto WordModel = Make();
   for (uint32_t Word : Stream)
     WordModel->consumeWord(Word);
@@ -101,10 +154,12 @@ void appendData(std::vector<uint32_t> &Stream, size_t Count,
 
 ModelFactory matmulFactory(MatMulAccelerator::Version Ver, int64_t Size,
                            ElemKind Kind) {
-  return [=] {
-    SoCParams Params;
-    return std::make_unique<MatMulAccelerator>(Ver, Size, Kind, Params);
-  };
+  return {[=] {
+            SoCParams Params;
+            return std::make_unique<MatMulAccelerator>(Ver, Size, Kind,
+                                                       Params);
+          },
+          analysis::ProtocolModel::matmul(Ver, Size)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -224,10 +279,12 @@ TEST(StreamEquivalence, MatMulErrorBehaviour) {
 //===----------------------------------------------------------------------===//
 
 ModelFactory convFactory(ElemKind Kind, int64_t MaxWindowWords = 256 * 7 * 7) {
-  return [=] {
-    SoCParams Params;
-    return std::make_unique<ConvAccelerator>(Kind, Params, MaxWindowWords);
-  };
+  return {[=] {
+            SoCParams Params;
+            return std::make_unique<ConvAccelerator>(Kind, Params,
+                                                     MaxWindowWords);
+          },
+          analysis::ProtocolModel::conv(MaxWindowWords)};
 }
 
 TEST(StreamEquivalence, ConvSlices) {
@@ -302,6 +359,95 @@ TEST(StreamEquivalence, ConvErrorBehaviour) {
   appendData(Mismatch, 12, Rng, ElemKind::I32);
   Mismatch.push_back(CONV_RO); // dropped after the mismatch error
   checkStreamEquivalence(convFactory(ElemKind::I32), Mismatch);
+}
+
+//===----------------------------------------------------------------------===//
+// Simulator against checker (beyond the streams above)
+//===----------------------------------------------------------------------===//
+
+/// A plan constant wider than 32 bits reaches the engine as its low word:
+/// cfg 0x100000010 configures a 16-row tile on both sides.
+TEST(StreamEquivalence, WideCfgWordsReadAs32Bits) {
+  std::mt19937 Rng(500);
+  std::vector<int64_t> Words = {MM_CFG, 0x100000010, 16, 16, MM_SA};
+  for (int I = 0; I < 16 * 16; ++I)
+    Words.push_back(dataWord(Rng, ElemKind::I32));
+  Words.push_back(MM_CC_RC);
+  checkAgainstChecker(
+      matmulFactory(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
+      Words);
+  // A wide word whose low half is negative is rejected alike.
+  checkAgainstChecker(
+      matmulFactory(MatMulAccelerator::Version::V4, 16, ElemKind::I32),
+      {MM_CFG, 0x7fffffffffff, 16, 16, MM_SA});
+}
+
+/// Random streams from each table: opcodes drawn from the engine's
+/// micro-ISA plus a few invalid words, cfg words from a hostile set, and
+/// payloads mostly of the right length (per the geometry the cfg words
+/// set), sometimes one word short or long.
+std::vector<int64_t> randomStream(std::mt19937 &Rng, const OpcodeEntry *Table,
+                                  size_t TableSize, OpcodeFsm Fsm) {
+  const int64_t CfgValues[] = {1,  2,         3,          4,    8,
+                               16, 0,         0xFFFFFFFF, 5000, 0x100000004,
+                               -3, 0x7FFFFFFF};
+  std::uniform_int_distribution<size_t> Pick(0, TableSize - 1);
+  std::uniform_int_distribution<size_t> PickCfg(0, 11);
+  std::uniform_int_distribution<int> Percent(0, 99);
+  std::vector<int64_t> Words;
+  for (int Op = 0; Op < 24; ++Op) {
+    if (Percent(Rng) < 4) {
+      Words.push_back(Percent(Rng) < 50 ? 0xDEAD : 0x77); // invalid opcodes
+      continue;
+    }
+    uint32_t Opcode = Table[Pick(Rng)].Opcode;
+    Words.push_back(Opcode);
+    std::string Why;
+    if (!Fsm.start(Opcode, &Why))
+      continue; // the engine rejects it; the rest is dropped anyway
+    if (Fsm.readingCfg()) {
+      while (!Fsm.idle()) {
+        int64_t V = CfgValues[PickCfg(Rng) % (Percent(Rng) < 70 ? 5 : 12)];
+        Words.push_back(V);
+        Fsm.stageCfg(static_cast<uint32_t>(V), true);
+        if (Fsm.advance(1))
+          Fsm.finish(&Why);
+      }
+      continue;
+    }
+    int64_t Length = Fsm.expected();
+    int Roll = Percent(Rng);
+    if (Roll < 6)
+      --Length;
+    else if (Roll < 12)
+      ++Length;
+    for (int64_t W = 0; W < Length; ++W)
+      Words.push_back(dataWord(Rng, ElemKind::I32));
+    Fsm.advance(Fsm.remaining());
+    Fsm.finish(&Why);
+  }
+  return Words;
+}
+
+TEST(StreamEquivalence, RandomStreamsMatchChecker) {
+  std::mt19937 Rng(501);
+  using V = MatMulAccelerator::Version;
+  for (V Ver : {V::V1, V::V2, V::V3, V::V4}) {
+    for (int Case = 0; Case < 40; ++Case) {
+      SCOPED_TRACE("matmul v" + std::to_string(int(Ver) + 1) + " case " +
+                   std::to_string(Case));
+      checkAgainstChecker(
+          matmulFactory(Ver, 4, ElemKind::I32),
+          randomStream(Rng, MatMulOpcodes, std::size(MatMulOpcodes),
+                       OpcodeFsm::matmul(Ver, 4)));
+    }
+  }
+  for (int Case = 0; Case < 80; ++Case) {
+    SCOPED_TRACE("conv case " + std::to_string(Case));
+    checkAgainstChecker(convFactory(ElemKind::I32, 64),
+                        randomStream(Rng, ConvOpcodes, std::size(ConvOpcodes),
+                                     OpcodeFsm::conv(64)));
+  }
 }
 
 //===----------------------------------------------------------------------===//
