@@ -441,31 +441,6 @@ void BM_ExecPlanCpuConvThreaded(benchmark::State &State) {
                           3);
 }
 
-/// Axirt-path threaded run (the DMA-heavy driver): dispatch is a smaller
-/// share here, so the gain is bounded by the runtime-call work.
-void BM_ExecPlanAxirtThreaded(benchmark::State &State) {
-  AxirtMatMulFixture F;
-  if (!F.init(State))
-    return;
-  std::string Error;
-  auto Plan = exec::ExecPlan::compile(F.Func, Error);
-  if (!Plan) {
-    State.SkipWithError(Error.c_str());
-    return;
-  }
-  auto Decoded = exec::DecodedPlan::decode(*Plan);
-  for (auto _ : State) {
-    F.Soc->resetCounters();
-    if (failed(Decoded->run(*F.Soc, F.Runtime.get(), {F.A, F.B, F.C},
-                            Error))) {
-      State.SkipWithError(Error.c_str());
-      break;
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * State.range(0) *
-                          State.range(0) * State.range(0));
-}
-
 /// Plan compilation itself (paid once per function, amortized over runs).
 void BM_ExecPlanCompile(benchmark::State &State) {
   int64_t Dims = State.range(0);
@@ -502,7 +477,6 @@ BENCHMARK(BM_ExecPlanAxirtUnfused)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtFused)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtPlanOptNone)->Arg(64);
 BENCHMARK(BM_ExecPlanAxirtOptimized)->Arg(64);
-BENCHMARK(BM_ExecPlanAxirtThreaded)->Arg(64);
 BENCHMARK(BM_ExecPlanCompile)->Arg(32);
 
 BENCHMARK_MAIN();

@@ -36,11 +36,6 @@ BinaryOp arith::BinaryOp::create(OpBuilder &Builder, const std::string &Name,
   return BinaryOp(Builder.create(Name, {LHS, RHS}, {LHS.getType()}));
 }
 
-IndexCastOp arith::IndexCastOp::create(OpBuilder &Builder, Value Input,
-                                       Type ResultTy) {
-  return IndexCastOp(Builder.create(OpName, {Input}, {ResultTy}));
-}
-
 void arith::registerDialect(MLIRContext &Context) {
   OpRegistry &Registry = Context.getOpRegistry();
   Registry.registerOp({ConstantOp::OpName, /*NumOperands=*/0,

@@ -69,8 +69,6 @@ public:
 
   static bool classof(const Operation *Op) { return Op->getName() == OpName; }
 
-  static IndexCastOp create(OpBuilder &Builder, Value Input, Type ResultTy);
-
   Value getResult() const { return Op->getResult(0); }
 };
 

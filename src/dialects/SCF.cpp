@@ -55,23 +55,3 @@ void scf::registerDialect(MLIRContext &Context) {
   Registry.registerOp({YieldOp::OpName, /*NumOperands=*/-1, /*NumResults=*/0,
                        /*NumRegions=*/0, /*IsTerminator=*/true, nullptr});
 }
-
-void scf::buildLoopNest(
-    OpBuilder &Builder, const std::vector<Value> &LowerBounds,
-    const std::vector<Value> &UpperBounds, const std::vector<Value> &Steps,
-    const std::function<void(OpBuilder &, const std::vector<Value> &)>
-        &BodyBuilder) {
-  assert(LowerBounds.size() == UpperBounds.size() &&
-         LowerBounds.size() == Steps.size() && "loop nest rank mismatch");
-  OpBuilder::InsertPoint Saved = Builder.saveInsertionPoint();
-  std::vector<Value> InductionVars;
-  InductionVars.reserve(LowerBounds.size());
-  for (size_t I = 0, E = LowerBounds.size(); I < E; ++I) {
-    ForOp Loop =
-        ForOp::create(Builder, LowerBounds[I], UpperBounds[I], Steps[I]);
-    InductionVars.push_back(Loop.getInductionVar());
-    Builder.setInsertionPoint(Loop.getBodyTerminator());
-  }
-  BodyBuilder(Builder, InductionVars);
-  Builder.restoreInsertionPoint(Saved);
-}

@@ -57,17 +57,6 @@ public:
 
 void registerDialect(MLIRContext &Context);
 
-/// Helper used by the tiling pass: builds a perfect loop nest with the
-/// given bounds/steps, calling \p BodyBuilder with the induction variables
-/// while the builder is positioned at the innermost body. The builder's
-/// insertion point is restored after the nest.
-void buildLoopNest(OpBuilder &Builder, const std::vector<Value> &LowerBounds,
-                   const std::vector<Value> &UpperBounds,
-                   const std::vector<Value> &Steps,
-                   const std::function<void(OpBuilder &,
-                                            const std::vector<Value> &)>
-                       &BodyBuilder);
-
 } // namespace scf
 } // namespace axi4mlir
 

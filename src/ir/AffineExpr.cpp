@@ -225,10 +225,6 @@ AffineExpr axi4mlir::operator+(AffineExpr LHS, AffineExpr RHS) {
   return AffineExpr::getBinary(AffineExpr::Kind::Add, LHS, RHS);
 }
 
-AffineExpr axi4mlir::operator+(AffineExpr LHS, int64_t RHS) {
-  return LHS + AffineExpr::getConstant(RHS);
-}
-
 AffineExpr axi4mlir::operator*(AffineExpr LHS, int64_t RHS) {
   return AffineExpr::getBinary(AffineExpr::Kind::Mul, LHS,
                                AffineExpr::getConstant(RHS));

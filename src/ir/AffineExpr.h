@@ -97,7 +97,6 @@ inline AffineExpr getAffineConstantExpr(int64_t Value) {
 }
 
 AffineExpr operator+(AffineExpr LHS, AffineExpr RHS);
-AffineExpr operator+(AffineExpr LHS, int64_t RHS);
 AffineExpr operator*(AffineExpr LHS, int64_t RHS);
 
 inline std::ostream &operator<<(std::ostream &OS, const AffineExpr &Expr) {

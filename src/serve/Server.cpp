@@ -29,34 +29,6 @@ const char *serve::toString(JobKind Kind) {
   return Kind == JobKind::MatMul ? "matmul" : "conv2d";
 }
 
-const char *serve::toString(JobStatus Status) {
-  switch (Status) {
-  case JobStatus::Completed:
-    return "completed";
-  case JobStatus::Overloaded:
-    return "overloaded";
-  case JobStatus::DeadlineExceeded:
-    return "deadline-exceeded";
-  case JobStatus::Rejected:
-    return "rejected";
-  case JobStatus::Failed:
-    return "failed";
-  }
-  return "unknown";
-}
-
-const char *serve::toString(BreakerState State) {
-  switch (State) {
-  case BreakerState::Closed:
-    return "closed";
-  case BreakerState::Open:
-    return "open";
-  case BreakerState::HalfOpen:
-    return "half-open";
-  }
-  return "unknown";
-}
-
 //===----------------------------------------------------------------------===//
 // Job geometry helpers
 //===----------------------------------------------------------------------===//

@@ -104,8 +104,6 @@ enum class JobStatus {
   Failed,
 };
 
-const char *toString(JobStatus Status);
-
 /// The terminal record of one job.
 struct JobOutcome {
   uint64_t Id = 0;
@@ -131,8 +129,6 @@ struct JobOutcome {
 
 /// Per-instance circuit-breaker state (exposed for tests/monitoring).
 enum class BreakerState { Closed, Open, HalfOpen };
-
-const char *toString(BreakerState State);
 
 /// Fault assignment for one pool instance: the schedule a fresh
 /// FaultInjector replays on each affected attempt, plus failover spares.
