@@ -86,9 +86,8 @@ void ProtocolModel::extrapolateAccumulators(const ProtocolModel &AfterNext,
 }
 
 std::string ProtocolModel::startOpcode(uint32_t Opcode) {
-  std::string Why;
-  if (!Fsm.start(Opcode, &Why))
-    return Why;
+  if (!Fsm.start(Opcode))
+    return Fsm.unsupportedOpcode(Opcode);
   if (Fsm.expected() < 0) {
     // Payload length from geometry an untracked cfg made unknown.
     giveUp();
@@ -99,9 +98,8 @@ std::string ProtocolModel::startOpcode(uint32_t Opcode) {
 
 std::string ProtocolModel::finishPayload() {
   uint8_t Effects = Fsm.current()->Effects;
-  std::string Why;
-  if (!Fsm.finish(&Why))
-    return Why;
+  if (std::optional<std::string> Why = Fsm.finish())
+    return *Why;
   if (Effects & sim::effect::NewSlice)
     Slice = 0;
   if (Effects & sim::effect::Compute)

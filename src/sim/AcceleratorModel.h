@@ -206,7 +206,8 @@ protected:
 
 /// The simulator side of an accelerator's opcode table: consumeWord /
 /// consumeBurst step one OpcodeFsm, and \p Derived supplies only its
-/// buffers through these hooks (each optional except copyPayload):
+/// buffers through these hooks (beginPayload, clearBuffers and newSlice
+/// default to no-ops):
 ///
 ///   void copyPayload(Payload, size_t Pos, const uint32_t *, size_t);
 ///   void beginPayload(Payload, size_t Words); // size the target buffer
@@ -285,9 +286,8 @@ protected:
       return;
     }
     uint8_t Effects = Fsm.current()->Effects;
-    std::string Why;
-    if (!Fsm.finish(&Why)) {
-      signalError(getName() + ": " + Why);
+    if (std::optional<std::string> Why = Fsm.finish()) {
+      signalError(getName() + ": " + *Why);
       return;
     }
     if (Effects & effect::ClearBuffers)
@@ -311,9 +311,8 @@ private:
   Derived &self() { return static_cast<Derived &>(*this); }
 
   void startOpcode(uint32_t Opcode) {
-    std::string Why;
-    if (!Fsm.start(Opcode, &Why)) {
-      signalError(getName() + ": " + Why);
+    if (!Fsm.start(Opcode)) {
+      signalError(getName() + ": " + Fsm.unsupportedOpcode(Opcode));
       return;
     }
     if (Fsm.expected() == 0)

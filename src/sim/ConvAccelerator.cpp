@@ -9,6 +9,8 @@
 using namespace axi4mlir;
 using namespace axi4mlir::sim;
 
+template class axi4mlir::sim::TableDrivenModel<ConvAccelerator>;
+
 ConvAccelerator::ConvAccelerator(ElemKind Kind, const SoCParams &Params,
                                  int64_t MaxWindowWords)
     : TableDrivenModel(OpcodeFsm::conv(MaxWindowWords)), Kind(Kind),

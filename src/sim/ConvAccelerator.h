@@ -77,6 +77,9 @@ private:
   uint64_t WindowsComputed = 0;
 };
 
+// Instantiated once, in ConvAccelerator.cpp, where the hooks inline.
+extern template class TableDrivenModel<ConvAccelerator>;
+
 } // namespace sim
 } // namespace axi4mlir
 

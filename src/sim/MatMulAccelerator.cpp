@@ -72,6 +72,8 @@ size_t AcceleratorModel::drainOutputInto(uint32_t *Dst, size_t MaxWords) {
   return Count;
 }
 
+template class axi4mlir::sim::TableDrivenModel<MatMulAccelerator>;
+
 MatMulAccelerator::MatMulAccelerator(Version Ver, int64_t Size, ElemKind Kind,
                                      const SoCParams &Params)
     : TableDrivenModel(OpcodeFsm::matmul(Ver, Size)), Kind(Kind),
@@ -97,9 +99,9 @@ void MatMulAccelerator::reset() {
 
 void MatMulAccelerator::clearBuffers() {
   // Sized to the current tile: a cfg resizes, a reset opcode only zeroes.
-  BufA.assign(static_cast<size_t>(getTileM() * getTileK()), 0);
-  BufB.assign(static_cast<size_t>(getTileK() * getTileN()), 0);
-  AccC.assign(static_cast<size_t>(getTileM() * getTileN()), 0.0);
+  BufA.assign(static_cast<size_t>(mulWords(getTileM(), getTileK())), 0);
+  BufB.assign(static_cast<size_t>(mulWords(getTileK(), getTileN())), 0);
+  AccC.assign(static_cast<size_t>(mulWords(getTileM(), getTileN())), 0.0);
 }
 
 void MatMulAccelerator::copyPayload(Payload Load, size_t Pos,

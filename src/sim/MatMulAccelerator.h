@@ -83,6 +83,9 @@ private:
   uint64_t TilesComputed = 0;
 };
 
+// Instantiated once, in MatMulAccelerator.cpp, where the hooks inline.
+extern template class TableDrivenModel<MatMulAccelerator>;
+
 } // namespace sim
 } // namespace axi4mlir
 

@@ -22,8 +22,6 @@ std::string axi4mlir::sim::formatOpcode(uint32_t Opcode) {
 OpcodeFsm OpcodeFsm::matmul(MatMulVersion Ver, int64_t Size) {
   OpcodeFsm F;
   F.Kind = Engine::MatMul;
-  F.Table = MatMulOpcodes;
-  F.TableSize = sizeof(MatMulOpcodes) / sizeof(MatMulOpcodes[0]);
   F.VersionBit = static_cast<uint8_t>(1u << static_cast<unsigned>(Ver));
   F.Capacity = matmulBufferCapacity(Ver, Size);
   F.BaseSize = Size;
@@ -34,8 +32,6 @@ OpcodeFsm OpcodeFsm::matmul(MatMulVersion Ver, int64_t Size) {
 OpcodeFsm OpcodeFsm::conv(int64_t MaxWindowWords) {
   OpcodeFsm F;
   F.Kind = Engine::Conv;
-  F.Table = ConvOpcodes;
-  F.TableSize = sizeof(ConvOpcodes) / sizeof(ConvOpcodes[0]);
   F.VersionBit = detail::AllVersions;
   F.Capacity = MaxWindowWords;
   F.BaseSize = 1;
@@ -43,13 +39,13 @@ OpcodeFsm OpcodeFsm::conv(int64_t MaxWindowWords) {
   return F;
 }
 
-bool OpcodeFsm::applyCfg(const OpcodeEntry &E, std::string *Why) {
+std::optional<std::string> OpcodeFsm::applyCfg(const OpcodeEntry &E) {
   if (StagedUnknown & ((1u << E.CfgWords) - 1)) {
     // A word the checker cannot classify: every word this payload writes
     // becomes unknown.
     for (unsigned I = 0; I < E.CfgWords; ++I)
       G.Dims[E.CfgAt + I] = -1;
-    return true;
+    return std::nullopt;
   }
   // The engine reads each cfg word as the signed 32-bit value on the wire.
   Geometry Next = G;
@@ -62,23 +58,21 @@ bool OpcodeFsm::applyCfg(const OpcodeEntry &E, std::string *Why) {
     int64_t M = Next.tileM(), K = Next.tileK(), N = Next.tileN();
     if (!Positive || mulWords(M, K) > Capacity ||
         mulWords(K, N) > Capacity || mulWords(M, N) > Capacity) {
-      *Why = "cfg tile " + std::to_string(M) + "x" + std::to_string(K) +
+      return "cfg tile " + std::to_string(M) + "x" + std::to_string(K) +
              "x" + std::to_string(N) +
              " does not fit the internal buffers (capacity " +
              std::to_string(Capacity) + " words per operand)";
-      return false;
     }
   } else if (!Positive || windowWords(Next) > Capacity) {
     // windowWords() is -1 (no bound to check) while the other dimension
     // is unknown.
-    *Why = "conv2d configuration iC=" + std::to_string(Next.channels()) +
+    return "conv2d configuration iC=" + std::to_string(Next.channels()) +
            " fS=" + std::to_string(Next.filterSize()) +
            " exceeds the accelerator window buffer (" +
            std::to_string(Capacity) + " words)";
-    return false;
   }
   G = Next;
-  return true;
+  return std::nullopt;
 }
 
 std::string OpcodeFsm::unsupportedOpcode(uint32_t Opcode) const {

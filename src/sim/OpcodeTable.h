@@ -26,10 +26,12 @@
 #ifndef AXI4MLIR_SIM_OPCODETABLE_H
 #define AXI4MLIR_SIM_OPCODETABLE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace axi4mlir {
@@ -130,6 +132,23 @@ inline constexpr OpcodeEntry ConvOpcodes[] = {
      effect::Compute},
 };
 
+namespace detail {
+/// Opcode word -> 1 + its entry's index in \p Table (0: no such opcode),
+/// so the FSMs find an entry in O(1). Every opcode fits in a byte.
+template <size_t N>
+constexpr std::array<uint8_t, 256>
+indexByOpcode(const OpcodeEntry (&Table)[N]) {
+  std::array<uint8_t, 256> Index{};
+  for (size_t I = 0; I < N; ++I)
+    Index[Table[I].Opcode] = static_cast<uint8_t>(I + 1);
+  return Index;
+}
+inline constexpr std::array<uint8_t, 256> MatMulIndex =
+    indexByOpcode(MatMulOpcodes);
+inline constexpr std::array<uint8_t, 256> ConvIndex =
+    indexByOpcode(ConvOpcodes);
+} // namespace detail
+
 /// The state every payload length derives from. The static checker marks
 /// words it cannot determine with -1; the simulator never holds -1.
 struct Geometry {
@@ -184,8 +203,7 @@ std::string formatOpcode(uint32_t Opcode);
 
 /// The cursor over one accelerator's opcode table: the current entry, the
 /// payload fill and expected counts, the geometry, and the staged cfg
-/// words. start() and finish() apply the geometry rules and report a
-/// rejected step through \p Why (written only on failure).
+/// words. start() and finish() apply the geometry rules.
 class OpcodeFsm {
 public:
   OpcodeFsm() = default;
@@ -223,19 +241,23 @@ public:
   /// Starts the opcode word \p Opcode. On success the FSM expects
   /// expected() payload words (0: finish() next). An opcode this engine
   /// does not implement leaves the FSM idle and returns false.
-  bool start(uint32_t Opcode, std::string *Why) {
-    for (size_t I = 0; I < TableSize; ++I) {
-      const OpcodeEntry &E = Table[I];
-      if (E.Opcode == Opcode && (E.Versions & VersionBit)) {
-        Cur = &E;
-        Fill = 0;
-        Expected = payloadWords(E);
-        return true;
-      }
-    }
-    *Why = unsupportedOpcode(Opcode);
-    return false;
+  bool start(uint32_t Opcode) {
+    if (Opcode >= 256)
+      return false;
+    bool MatMul = Kind == Engine::MatMul;
+    uint8_t Slot = (MatMul ? detail::MatMulIndex : detail::ConvIndex)[Opcode];
+    if (Slot == 0)
+      return false;
+    const OpcodeEntry &E = (MatMul ? MatMulOpcodes : ConvOpcodes)[Slot - 1];
+    if (!(E.Versions & VersionBit))
+      return false;
+    Cur = &E;
+    Fill = 0;
+    Expected = payloadWords(E);
+    return true;
   }
+  /// The diagnostic for an opcode start() rejected.
+  std::string unsupportedOpcode(uint32_t Opcode) const;
 
   /// Stages cfg payload words at the fill position (readingCfg() only).
   void stageCfg(const uint32_t *Words, size_t Count) {
@@ -257,27 +279,25 @@ public:
 
   /// Completes the current opcode and returns to Idle. Applies the
   /// payload's geometry rule (cfg fit, filter load, window match); a
-  /// violated rule leaves the geometry untouched and returns false, and
-  /// the opcode's effects must then not fire.
-  bool finish(std::string *Why) {
+  /// violated rule leaves the geometry untouched and returns its
+  /// diagnostic, and the opcode's effects must then not fire.
+  std::optional<std::string> finish() {
     const OpcodeEntry &E = *Cur;
     Cur = nullptr;
     int64_t Words = Expected;
     Fill = Expected = 0;
     switch (E.Load) {
     case Payload::Cfg:
-      return applyCfg(E, Why);
+      return applyCfg(E);
     case Payload::Filter:
       G.FilterWords = Words;
-      return true;
+      return std::nullopt;
     case Payload::Window:
-      if (G.FilterWords >= 0 && Words >= 0 && G.FilterWords != Words) {
-        *Why = filterMismatch(Words);
-        return false;
-      }
-      return true;
+      if (G.FilterWords >= 0 && Words >= 0 && G.FilterWords != Words)
+        return filterMismatch(Words);
+      return std::nullopt;
     default:
-      return true;
+      return std::nullopt;
     }
   }
 
@@ -333,13 +353,11 @@ private:
     return mulWords(At.channels(), mulWords(At.filterSize(), At.filterSize()));
   }
 
-  bool applyCfg(const OpcodeEntry &E, std::string *Why);
-  std::string unsupportedOpcode(uint32_t Opcode) const;
+  std::optional<std::string> applyCfg(const OpcodeEntry &E);
   std::string filterMismatch(int64_t WindowWords) const;
 
   enum class Engine : uint8_t { MatMul, Conv };
 
-  const OpcodeEntry *Table = nullptr;
   const OpcodeEntry *Cur = nullptr;
   int64_t Capacity = 0;
   /// Matmul: the default square tile; conv: 1.
@@ -350,7 +368,6 @@ private:
   uint32_t Staged[3] = {0, 0, 0}; ///< cfg payload words received so far
   uint8_t StagedUnknown = 0;      ///< bit I: Staged[I] is not known
   Engine Kind = Engine::MatMul;
-  uint8_t TableSize = 0;
   uint8_t VersionBit = 0;
 };
 

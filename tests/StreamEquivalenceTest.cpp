@@ -402,8 +402,7 @@ std::vector<int64_t> randomStream(std::mt19937 &Rng, const OpcodeEntry *Table,
     }
     uint32_t Opcode = Table[Pick(Rng)].Opcode;
     Words.push_back(Opcode);
-    std::string Why;
-    if (!Fsm.start(Opcode, &Why))
+    if (!Fsm.start(Opcode))
       continue; // the engine rejects it; the rest is dropped anyway
     if (Fsm.readingCfg()) {
       while (!Fsm.idle()) {
@@ -411,7 +410,7 @@ std::vector<int64_t> randomStream(std::mt19937 &Rng, const OpcodeEntry *Table,
         Words.push_back(V);
         Fsm.stageCfg(static_cast<uint32_t>(V), true);
         if (Fsm.advance(1))
-          Fsm.finish(&Why);
+          Fsm.finish();
       }
       continue;
     }
@@ -424,7 +423,7 @@ std::vector<int64_t> randomStream(std::mt19937 &Rng, const OpcodeEntry *Table,
     for (int64_t W = 0; W < Length; ++W)
       Words.push_back(dataWord(Rng, ElemKind::I32));
     Fsm.advance(Fsm.remaining());
-    Fsm.finish(&Why);
+    Fsm.finish();
   }
   return Words;
 }
