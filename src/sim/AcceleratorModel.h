@@ -58,11 +58,10 @@ public:
   /// semantic reference.
   virtual void consumeWord(uint32_t Word) = 0;
 
-  /// Consumes \p Count stream words as one burst. The default forwards
-  /// word by word; models override it with a fast path that absorbs data
-  /// bursts at memcpy speed. Words after a protocol error are dropped,
-  /// exactly as consumeWord() drops them.
-  virtual void consumeBurst(const uint32_t *Words, size_t Count);
+  /// Consumes \p Count stream words as one burst: the fast path that
+  /// absorbs data bursts at memcpy speed. Words after a protocol error
+  /// are dropped, exactly as consumeWord() drops them.
+  virtual void consumeBurst(const uint32_t *Words, size_t Count) = 0;
 
   /// Human-readable model name for diagnostics ("matmul_v3_16", ...).
   virtual std::string getName() const = 0;

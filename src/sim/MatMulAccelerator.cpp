@@ -13,11 +13,6 @@ using namespace axi4mlir::sim;
 
 AcceleratorModel::~AcceleratorModel() = default;
 
-void AcceleratorModel::consumeBurst(const uint32_t *Words, size_t Count) {
-  for (size_t I = 0; I < Count; ++I)
-    consumeWord(Words[I]);
-}
-
 void AcceleratorModel::reset() {
   OutputFifo.clear();
   OutputHead = 0;
