@@ -223,18 +223,9 @@ MatMulAccelerator::versionFromName(const std::string &Name,
             Name + "' (expected an anchored _vN token, e.g. 'matmul_v3_16')";
     return failure();
   }
-  switch (Found) {
-  case 1:
-    return Version::V1;
-  case 2:
-    return Version::V2;
-  case 3:
-    return Version::V3;
-  case 4:
-    return Version::V4;
-  default:
-    Error = "accelerator name '" + Name + "' requests unsupported version v" +
-            std::to_string(Found) + " (supported: v1-v4)";
-    return failure();
-  }
+  if (Found >= 1 && Found <= 4)
+    return static_cast<Version>(Found - 1);
+  Error = "accelerator name '" + Name + "' requests unsupported version v" +
+          std::to_string(Found) + " (supported: v1-v4)";
+  return failure();
 }
