@@ -209,7 +209,7 @@ protected:
 /// default to no-ops):
 ///
 ///   void copyPayload(Payload, size_t Pos, const uint32_t *, size_t);
-///   void beginPayload(Payload, size_t Words); // size the target buffer
+///   void beginPayload(Payload, size_t Words); // size a data buffer
 ///   void clearBuffers(); void newSlice(); void compute(); void emit();
 ///
 /// The hooks are resolved statically: no virtual call per opcode, and the
@@ -316,7 +316,7 @@ private:
     }
     if (Fsm.expected() == 0)
       finishBurst();
-    else
+    else if (!Fsm.readingCfg()) // cfg words stage in the FSM
       self().beginPayload(Fsm.current()->Load,
                           static_cast<size_t>(Fsm.expected()));
   }
