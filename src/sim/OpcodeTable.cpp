@@ -21,8 +21,8 @@ std::string axi4mlir::sim::formatOpcode(uint32_t Opcode) {
 
 OpcodeFsm OpcodeFsm::matmul(MatMulVersion Ver, int64_t Size) {
   OpcodeFsm F;
-  F.Kind = Engine::MatMul;
-  F.VersionBit = static_cast<uint8_t>(1u << static_cast<unsigned>(Ver));
+  F.Spec = &MatMulEngine;
+  F.Ver = Ver;
   F.Capacity = matmulBufferCapacity(Ver, Size);
   F.BaseSize = Size;
   F.reset();
@@ -31,12 +31,36 @@ OpcodeFsm OpcodeFsm::matmul(MatMulVersion Ver, int64_t Size) {
 
 OpcodeFsm OpcodeFsm::conv(int64_t MaxWindowWords) {
   OpcodeFsm F;
-  F.Kind = Engine::Conv;
-  F.VersionBit = detail::AllVersions;
+  F.Spec = &ConvEngine;
   F.Capacity = MaxWindowWords;
   F.BaseSize = 1;
   F.reset();
   return F;
+}
+
+std::optional<std::string> axi4mlir::sim::tileFits(const Geometry &Next,
+                                                   bool Positive,
+                                                   int64_t Capacity) {
+  int64_t M = Next.tileM(), K = Next.tileK(), N = Next.tileN();
+  if (Positive && mulWords(M, K) <= Capacity && mulWords(K, N) <= Capacity &&
+      mulWords(M, N) <= Capacity)
+    return std::nullopt;
+  return "cfg tile " + std::to_string(M) + "x" + std::to_string(K) + "x" +
+         std::to_string(N) + " does not fit the internal buffers (capacity " +
+         std::to_string(Capacity) + " words per operand)";
+}
+
+std::optional<std::string> axi4mlir::sim::windowFits(const Geometry &Next,
+                                                     bool Positive,
+                                                     int64_t Capacity) {
+  // windowWords() is -1 (no bound to check) while the other dimension is
+  // unknown.
+  if (Positive && windowWords(Next) <= Capacity)
+    return std::nullopt;
+  return "conv2d configuration iC=" + std::to_string(Next.channels()) +
+         " fS=" + std::to_string(Next.filterSize()) +
+         " exceeds the accelerator window buffer (" +
+         std::to_string(Capacity) + " words)";
 }
 
 std::optional<std::string> OpcodeFsm::applyCfg(const OpcodeEntry &E) {
@@ -54,32 +78,14 @@ std::optional<std::string> OpcodeFsm::applyCfg(const OpcodeEntry &E) {
     Next.Dims[E.CfgAt + I] = static_cast<int32_t>(Staged[I]);
     Positive = Positive && Next.Dims[E.CfgAt + I] > 0;
   }
-  if (Kind == Engine::MatMul) {
-    int64_t M = Next.tileM(), K = Next.tileK(), N = Next.tileN();
-    if (!Positive || mulWords(M, K) > Capacity ||
-        mulWords(K, N) > Capacity || mulWords(M, N) > Capacity) {
-      return "cfg tile " + std::to_string(M) + "x" + std::to_string(K) +
-             "x" + std::to_string(N) +
-             " does not fit the internal buffers (capacity " +
-             std::to_string(Capacity) + " words per operand)";
-    }
-  } else if (!Positive || windowWords(Next) > Capacity) {
-    // windowWords() is -1 (no bound to check) while the other dimension
-    // is unknown.
-    return "conv2d configuration iC=" + std::to_string(Next.channels()) +
-           " fS=" + std::to_string(Next.filterSize()) +
-           " exceeds the accelerator window buffer (" +
-           std::to_string(Capacity) + " words)";
-  }
+  if (std::optional<std::string> Why = Spec->CfgFits(Next, Positive, Capacity))
+    return Why;
   G = Next;
   return std::nullopt;
 }
 
 std::string OpcodeFsm::unsupportedOpcode(uint32_t Opcode) const {
-  return "opcode " + formatOpcode(Opcode) +
-         (Kind == Engine::MatMul ? " is not supported by this matmul version"
-                                 : " is not supported by the conv2d "
-                                   "accelerator");
+  return "opcode " + formatOpcode(Opcode) + Spec->Unsupported;
 }
 
 std::string OpcodeFsm::filterMismatch(int64_t WindowWords) const {

@@ -60,7 +60,7 @@ inline constexpr uint32_t CONV_SICO = 70;   ///< input window in; compute
 } // namespace opcodes
 
 /// Table I engine versions of the MatMul family.
-enum class MatMulVersion { V1, V2, V3, V4 };
+enum class MatMulVersion : uint8_t { V1, V2, V3, V4 };
 
 /// What follows an opcode word on the stream.
 enum class Payload : uint8_t {
@@ -132,23 +132,6 @@ inline constexpr OpcodeEntry ConvOpcodes[] = {
      effect::Compute},
 };
 
-namespace detail {
-/// Opcode word -> 1 + its entry's index in \p Table (0: no such opcode),
-/// so the FSMs find an entry in O(1). Every opcode fits in a byte.
-template <size_t N>
-constexpr std::array<uint8_t, 256>
-indexByOpcode(const OpcodeEntry (&Table)[N]) {
-  std::array<uint8_t, 256> Index{};
-  for (size_t I = 0; I < N; ++I)
-    Index[Table[I].Opcode] = static_cast<uint8_t>(I + 1);
-  return Index;
-}
-inline constexpr std::array<uint8_t, 256> MatMulIndex =
-    indexByOpcode(MatMulOpcodes);
-inline constexpr std::array<uint8_t, 256> ConvIndex =
-    indexByOpcode(ConvOpcodes);
-} // namespace detail
-
 /// The state every payload length derives from. The static checker marks
 /// words it cannot determine with -1; the simulator never holds -1.
 struct Geometry {
@@ -201,6 +184,59 @@ inline int64_t matmulBufferCapacity(MatMulVersion Ver, int64_t Size) {
 /// Formats an opcode word the way protocol dumps spell it ("0x21").
 std::string formatOpcode(uint32_t Opcode);
 
+/// Payload words of a conv filter or window at geometry \p At (iC*fS*fS).
+inline int64_t windowWords(const Geometry &At) {
+  return mulWords(At.channels(), mulWords(At.filterSize(), At.filterSize()));
+}
+
+/// A cfg payload's fit rule: the diagnostic when geometry \p Next (whose
+/// written words are all positive iff \p Positive) does not fit an engine
+/// whose buffers hold \p Capacity words, else nullopt.
+using CfgRule = std::optional<std::string> (*)(const Geometry &Next,
+                                               bool Positive,
+                                               int64_t Capacity);
+/// Matmul: every operand tile (tM*tK, tK*tN, tM*tN) fits a buffer.
+std::optional<std::string> tileFits(const Geometry &Next, bool Positive,
+                                    int64_t Capacity);
+/// Conv: one iC*fS*fS window fits the window buffer.
+std::optional<std::string> windowFits(const Geometry &Next, bool Positive,
+                                      int64_t Capacity);
+
+namespace detail {
+/// Opcode word -> 1 + its entry's index in \p Table (0: no such opcode),
+/// so the FSMs find an entry in O(1). Every opcode fits in a byte.
+template <size_t N>
+constexpr std::array<uint8_t, 256>
+indexByOpcode(const OpcodeEntry (&Table)[N]) {
+  std::array<uint8_t, 256> Index{};
+  for (size_t I = 0; I < N; ++I)
+    Index[Table[I].Opcode] = static_cast<uint8_t>(I + 1);
+  return Index;
+}
+} // namespace detail
+
+/// Everything the cursor knows about one accelerator: its opcode table
+/// and the rules beside it.
+struct EngineSpec {
+  const OpcodeEntry *Table;
+  /// Opcode word -> 1 + its entry's index in Table (0: no such opcode).
+  std::array<uint8_t, 256> Index;
+  CfgRule CfgFits;
+  /// Output rule. True: each Compute adds one value to the output slice
+  /// and Emit pushes the slice (conv). False: the accumulator is the
+  /// fixed tM x tN tile, which Emit pushes whole (matmul).
+  bool ValuePerCompute;
+  /// Diagnostic tail for an opcode the engine does not implement.
+  const char *Unsupported;
+};
+
+inline constexpr EngineSpec MatMulEngine = {
+    MatMulOpcodes, detail::indexByOpcode(MatMulOpcodes), tileFits, false,
+    " is not supported by this matmul version"};
+inline constexpr EngineSpec ConvEngine = {
+    ConvOpcodes, detail::indexByOpcode(ConvOpcodes), windowFits, true,
+    " is not supported by the conv2d accelerator"};
+
 /// The cursor over one accelerator's opcode table: the current entry, the
 /// payload fill and expected counts, the geometry, and the staged cfg
 /// words. start() and finish() apply the geometry rules.
@@ -212,13 +248,13 @@ public:
   static OpcodeFsm conv(int64_t MaxWindowWords);
 
   /// Back to Idle with the power-on geometry: the square default tile
-  /// (matmul) or one channel of a 1x1 filter, no filter loaded (conv).
+  /// (matmul) or one channel of a 1x1 filter, no filter loaded (conv,
+  /// whose third word is unused).
   void reset() {
     Cur = nullptr;
     Fill = Expected = 0;
     G = Geometry();
-    G.Dims[0] = G.Dims[1] = BaseSize;
-    G.Dims[2] = Kind == Engine::MatMul ? BaseSize : 0;
+    G.Dims[0] = G.Dims[1] = G.Dims[2] = BaseSize;
   }
 
   bool idle() const { return Cur == nullptr; }
@@ -231,9 +267,7 @@ public:
   int64_t remaining() const { return Expected - Fill; }
   const Geometry &geometry() const { return G; }
   /// Matmul only: the engine version and its default square tile.
-  MatMulVersion version() const {
-    return static_cast<MatMulVersion>(__builtin_ctz(VersionBit));
-  }
+  MatMulVersion version() const { return Ver; }
   int64_t baseSize() const { return BaseSize; }
   /// Per-operand buffer words (matmul) or window buffer words (conv).
   int64_t capacity() const { return Capacity; }
@@ -242,14 +276,11 @@ public:
   /// expected() payload words (0: finish() next). An opcode this engine
   /// does not implement leaves the FSM idle and returns false.
   bool start(uint32_t Opcode) {
-    if (Opcode >= 256)
-      return false;
-    bool MatMul = Kind == Engine::MatMul;
-    uint8_t Slot = (MatMul ? detail::MatMulIndex : detail::ConvIndex)[Opcode];
+    uint8_t Slot = Opcode < 256 ? Spec->Index[Opcode] : 0;
     if (Slot == 0)
       return false;
-    const OpcodeEntry &E = (MatMul ? MatMulOpcodes : ConvOpcodes)[Slot - 1];
-    if (!(E.Versions & VersionBit))
+    const OpcodeEntry &E = Spec->Table[Slot - 1];
+    if (!((E.Versions >> static_cast<unsigned>(Ver)) & 1))
       return false;
     Cur = &E;
     Fill = 0;
@@ -305,17 +336,17 @@ public:
   /// Slice values before it: conv adds one value per window; the matmul
   /// accumulator tile has a fixed size, which emitWords() reads instead.
   int64_t sliceAfterCompute(int64_t Slice) const {
-    if (Kind != Engine::Conv)
+    if (!Spec->ValuePerCompute)
       return Slice;
     return Slice < 0 ? -1 : Slice + 1;
   }
   /// Output words an Emit effect pushes from a slice of \p Slice values.
   int64_t emitWords(int64_t Slice) const {
-    return Kind == Engine::Conv ? Slice : mulWords(G.tileM(), G.tileN());
+    return Spec->ValuePerCompute ? Slice : mulWords(G.tileM(), G.tileN());
   }
 
-  /// Same position, geometry and staged cfg words (the table and
-  /// capacity are fixed per instance).
+  /// Same position, geometry and staged cfg words (the engine, version
+  /// and capacity are fixed per instance).
   bool operator==(const OpcodeFsm &O) const {
     if (Cur != O.Cur || Fill != O.Fill || Expected != O.Expected ||
         !(G == O.G))
@@ -349,15 +380,10 @@ private:
     }
     return 0;
   }
-  static int64_t windowWords(const Geometry &At) {
-    return mulWords(At.channels(), mulWords(At.filterSize(), At.filterSize()));
-  }
-
   std::optional<std::string> applyCfg(const OpcodeEntry &E);
   std::string filterMismatch(int64_t WindowWords) const;
 
-  enum class Engine : uint8_t { MatMul, Conv };
-
+  const EngineSpec *Spec = &MatMulEngine;
   const OpcodeEntry *Cur = nullptr;
   int64_t Capacity = 0;
   /// Matmul: the default square tile; conv: 1.
@@ -367,8 +393,7 @@ private:
   Geometry G;
   uint32_t Staged[3] = {0, 0, 0}; ///< cfg payload words received so far
   uint8_t StagedUnknown = 0;      ///< bit I: Staged[I] is not known
-  Engine Kind = Engine::MatMul;
-  uint8_t VersionBit = 0;
+  MatMulVersion Ver = MatMulVersion::V1; ///< conv: every entry accepts V1
 };
 
 } // namespace sim
