@@ -152,15 +152,16 @@ std::string ProtocolModel::feedData(int64_t Count) {
   int64_t Remaining = Fsm.remaining();
   if (Count > Remaining) {
     // The overrun words land on the FSM in Idle state: a burst-length /
-    // tile-dimension mismatch.
+    // tile-dimension mismatch. A payload whose completion already fails
+    // (a window that does not match the filter) stops the engine first.
     std::string E = "burst overruns " +
                     sim::formatOpcode(Fsm.current()->Opcode) +
                     ": expected " + std::to_string(Remaining) +
                     " more payload words, got " +
                     std::to_string(Count - Remaining) + " extra";
     Fsm.advance(Remaining);
-    (void)finishPayload();
-    return E;
+    std::string Completion = finishPayload();
+    return Completion.empty() ? E : Completion;
   }
   return Fsm.advance(Count) ? finishPayload() : "";
 }
